@@ -15,7 +15,6 @@ from .agreement import (
     Direction,
     PairedSample,
     ReplicatedSample,
-    ReplicateRecord,
     WeightPair,
     WithinSubjectVariance,
     analyze,
@@ -62,7 +61,6 @@ __all__ = [
     "PairedSample",
     "RegressionFit",
     "ReplicatedSample",
-    "ReplicateRecord",
     "SyntheticConfig",
     "WeightPair",
     "WithinSubjectVariance",

@@ -28,7 +28,6 @@ __all__ = [
     "Direction",
     "AxisKind",
     "PairedSample",
-    "ReplicateRecord",
     "ReplicatedSample",
     "WithinSubjectVariance",
     "WeightPair",
@@ -106,63 +105,70 @@ class PairedSample:
         return self.a.size
 
 
-@dataclass(frozen=True)
-class ReplicateRecord:
-    subject_id: str
-    method: str
-    replicate: int
-    value: float
-
-
-@dataclass(frozen=True)
 class ReplicatedSample:
-    """Long-format replicate measurements for within-subject variance work.
+    """Long-format replicate measurements as columns, one entry per row.
 
-    Every (subject, method) group must hold at least two replicates and both
-    methods must cover the same subjects.
+    Built from per-row subject ids, method labels ("A"/"B"), replicate indices
+    and values. Holds ``subjects`` (ids in order of first appearance) and, per
+    row, ``subject_code`` (index into ``subjects``), ``is_b``, ``replicate`` and
+    ``value``. No (subject, method, replicate) may repeat, each (subject,
+    method) group needs two or more replicates, and both methods must cover
+    the same subjects. Each method's counts, means and variance pool once.
     """
 
-    records: tuple[ReplicateRecord, ...]
-
-    def __post_init__(self):
-        records = tuple(self.records)
-        if not records:
+    def __init__(self, subject, method, replicate, value):
+        replicate, given = np.asarray(replicate, dtype=np.int64), replicate
+        value = np.asarray(value, dtype=float)
+        if not len(subject) == len(method) == replicate.size == value.size:
+            raise ValueError("replicate columns differ in length")
+        if not value.size:
             raise ValueError("no replicate records")
-        by_method_subject: dict[str, dict[str, list[float]]] = {m: {} for m in METHOD_LABELS}
-        order: list[str] = []
-        for rec in records:
-            if rec.method not in METHOD_LABELS:
-                raise ValueError(
-                    f"unknown method label {rec.method!r}; expected one of {METHOD_LABELS}"
-                )
-            v = float(rec.value)
-            if not np.isfinite(v):
-                raise ValueError(f"non-finite value for subject {rec.subject_id!r}")
-            if rec.subject_id not in by_method_subject["A"] and rec.subject_id not in by_method_subject["B"]:
-                order.append(rec.subject_id)
-            by_method_subject[rec.method].setdefault(rec.subject_id, []).append(v)
-        subjects_a = set(by_method_subject["A"])
-        subjects_b = set(by_method_subject["B"])
-        if subjects_a != subjects_b:
-            odd = sorted(subjects_a.symmetric_difference(subjects_b))
+        if not np.array_equal(replicate, given):
+            raise ValueError("replicate indices must be integers")
+        if not set(method) <= set(METHOD_LABELS):
+            first = next(m for m in method if m not in METHOD_LABELS)
+            raise ValueError(f"unknown method label {first!r}; expected one of {METHOD_LABELS}")
+        finite = np.isfinite(value)
+        if not finite.all():
+            raise ValueError(f"non-finite value for subject {subject[np.argmin(finite)]!r}")
+        subjects = tuple(dict.fromkeys(subject))
+        index = {s: i for i, s in enumerate(subjects)}
+        code = np.fromiter(map(index.__getitem__, subject), dtype=np.intp, count=len(subject))
+        is_b = np.fromiter(map("B".__eq__, method), dtype=bool, count=len(method))
+        group = 2 * code + is_b
+        order = np.lexsort((replicate, group))
+        repeated = (np.diff(group[order]) == 0) & (np.diff(replicate[order]) == 0)
+        if repeated.any():
+            row = order[1:][repeated].min()
+            raise ValueError(f"duplicate replicate {replicate[row]} for subject "
+                             f"{subject[row]!r}, method {method[row]}")
+        groups = {m: (code[r], value[r]) for m, r in (("A", ~is_b), ("B", is_b))}
+        counts = {m: np.bincount(c, minlength=len(subjects)) for m, (c, _) in groups.items()}
+        odd = sorted(subjects[i] for i in np.flatnonzero((counts["A"] == 0) | (counts["B"] == 0)))
+        if odd:
             raise ValueError(f"subjects not covered by both methods: {odd}")
-        for method in METHOD_LABELS:
-            for subject, values in by_method_subject[method].items():
-                if len(values) < 2:
-                    raise ValueError(
-                        f"subject {subject!r} has {len(values)} replicate(s) for "
-                        f"method {method}; need at least 2"
-                    )
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "_groups", by_method_subject)
-        object.__setattr__(self, "_subjects", tuple(order))
-
-    @property
-    def subjects(self) -> tuple[str, ...]:
-        return self._subjects
+        means, s_w2 = {}, {}
+        for m, (c, v) in groups.items():
+            few = np.flatnonzero(counts[m] < 2)
+            if few.size:
+                raise ValueError(f"subject {subjects[few[0]]!r} has {counts[m][few[0]]} "
+                                 f"replicate(s) for method {m}; need at least 2")
+            means[m] = np.bincount(c, weights=v, minlength=len(subjects)) / counts[m]
+            s_w2[m] = float(np.sum((v - means[m][c]) ** 2)) / (c.size - len(subjects))
+        self.subjects, self.subject_code, self.is_b = subjects, code, is_b
+        self.replicate, self.value = replicate, value
+        self._counts, self._means, self._s_w2 = counts, means, s_w2
 
     def values(self, subject_id: str, method: str) -> np.ndarray:
-        return np.asarray(self._groups[method][subject_id], dtype=float)
+        """Replicate values of one (subject, method) group, in row order."""
+        rows = self.subject_code == self.subjects.index(subject_id)
+        return self.value[rows & (self.is_b == METHOD_LABELS.index(method))]
+
+
+def _require_finite(obj, *names: str) -> None:
+    for name in names:
+        if not np.isfinite(getattr(obj, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(obj, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -173,6 +179,7 @@ class WithinSubjectVariance:
     s_wb2: float
 
     def __post_init__(self):
+        _require_finite(self, "s_wa2", "s_wb2")
         if self.s_wa2 < 0.0 or self.s_wb2 < 0.0:
             raise ValueError("within-subject variances must be nonnegative")
         if self.s_wa2 == 0.0 and self.s_wb2 == 0.0:
@@ -187,6 +194,7 @@ class WeightPair:
     beta: float
 
     def __post_init__(self):
+        _require_finite(self, "alpha", "beta")
         if self.alpha < 0.0 or self.beta < 0.0:
             raise ValueError("weights must be nonnegative")
         if self.alpha + self.beta <= 0.0:
@@ -230,30 +238,17 @@ def within_subject_variance(reps: ReplicatedSample, method: str) -> float:
     """
     if method not in METHOD_LABELS:
         raise ValueError(f"unknown method label {method!r}; expected one of {METHOD_LABELS}")
-    ss = 0.0
-    dof = 0
-    for subject in reps.subjects:
-        values = reps.values(subject, method)
-        if values.size < 2:
-            raise ValueError(f"subject {subject!r} has fewer than 2 replicates")
-        ss += float(np.sum((values - values.mean()) ** 2))
-        dof += values.size - 1
-    return ss / dof
+    return reps._s_w2[method]
 
 
 def estimate_variances(reps: ReplicatedSample) -> WithinSubjectVariance:
     """Pooled within-subject variances for both methods."""
-    return WithinSubjectVariance(
-        s_wa2=within_subject_variance(reps, "A"),
-        s_wb2=within_subject_variance(reps, "B"),
-    )
+    return WithinSubjectVariance(s_wa2=reps._s_w2["A"], s_wb2=reps._s_w2["B"])
 
 
 def paired_from_replicates(reps: ReplicatedSample) -> PairedSample:
     """Collapse replicates to one pair per subject using replicate means."""
-    a = np.array([reps.values(s, "A").mean() for s in reps.subjects])
-    b = np.array([reps.values(s, "B").mean() for s in reps.subjects])
-    return PairedSample(a=a, b=b, subject_ids=reps.subjects)
+    return PairedSample(a=reps._means["A"], b=reps._means["B"], subject_ids=reps.subjects)
 
 
 def weighted_average(a, b, v: WithinSubjectVariance):

@@ -25,7 +25,6 @@ from .agreement import (
     estimate_variances,
     paired_from_replicates,
     predicted_covariance,
-    within_subject_variance,
 )
 from .io import (
     ParseError,
@@ -168,9 +167,8 @@ def _cmd_predict_cov(args) -> int:
 
 
 def _cmd_replicate_variance(args) -> int:
-    reps = parse_replicated(Path(args.input).read_text(encoding="utf-8"))
-    for method in ("A", "B"):
-        print(f"s_w2 {method}: {within_subject_variance(reps, method):.12g}")
+    v = estimate_variances(parse_replicated(Path(args.input).read_text(encoding="utf-8")))
+    print(f"s_w2 A: {v.s_wa2:.12g}\ns_w2 B: {v.s_wb2:.12g}")
     return 0
 
 

@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from decimal import ROUND_HALF_UP, Decimal
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +29,6 @@ from .agreement import (
     Direction,
     PairedSample,
     ReplicatedSample,
-    ReplicateRecord,
     WeightPair,
 )
 from .numerics import RegressionFit
@@ -46,19 +48,32 @@ __all__ = [
 
 REPORT_FORMAT = "methodagree.report"
 REPORT_VERSION = 1
+#: Lines parsed per chunk: bounds the memory held by csv row lists.
+_CHUNK_LINES = 4096
 
 
 class ParseError(ValueError):
     """Malformed input file; the message names the offending line."""
 
 
-def _rows(text: str):
-    if not text.strip():
+def _chunks(text: str, header: list[str]):
+    """Per chunk of lines: the line numbers and stripped columns of non-blank data rows."""
+    reader, start, header_line = csv.reader(text.splitlines()), 1, None
+    while rows := list(islice(reader, _CHUNK_LINES)):
+        linenos = [i for i, line in enumerate(map(str.strip, map("".join, rows)), start) if line]
+        data = [rows[i - start] for i in linenos]
+        start += len(rows)
+        if header_line is None and linenos:
+            header_line, first = linenos.pop(0), [f.strip() for f in data.pop(0)]
+            if [f.lower() for f in first] != header:
+                raise ParseError(f"line {header_line}: expected header "
+                                 f"{','.join(header)!r}, got {','.join(first)!r}")
+        if set(map(len, data)) - {len(header)}:
+            lineno, row = next((n, r) for n, r in zip(linenos, data) if len(r) != len(header))
+            raise ParseError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+        yield linenos, [list(map(str.strip, map(itemgetter(k), data))) for k in range(len(header))]
+    if header_line is None:
         raise ParseError("empty input")
-    for lineno, row in enumerate(csv.reader(text.splitlines()), start=1):
-        if not row or all(not field.strip() for field in row):
-            continue
-        yield lineno, [field.strip() for field in row]
 
 
 def _parse_float(raw: str, lineno: int, column: str) -> float:
@@ -71,68 +86,61 @@ def _parse_float(raw: str, lineno: int, column: str) -> float:
     return value
 
 
-def _expect_header(row: list[str], lineno: int, expected: list[str]) -> None:
-    if [f.lower() for f in row] != expected:
-        raise ParseError(
-            f"line {lineno}: expected header {','.join(expected)!r}, got {','.join(row)!r}"
-        )
-
-
 def parse_paired(text: str) -> PairedSample:
     """Parse a ``subject,a,b`` CSV into a :class:`PairedSample`."""
-    subjects: list[str] = []
-    a_vals: list[float] = []
-    b_vals: list[float] = []
-    seen: set[str] = set()
-    rows = _rows(text)
-    lineno, header = next(rows)
-    _expect_header(header, lineno, ["subject", "a", "b"])
-    for lineno, row in rows:
-        if len(row) != 3:
-            raise ParseError(f"line {lineno}: expected 3 fields, got {len(row)}")
-        subject, raw_a, raw_b = row
-        if subject in seen:
-            raise ParseError(f"line {lineno}: duplicate subject id {subject!r}")
-        seen.add(subject)
-        subjects.append(subject)
-        a_vals.append(_parse_float(raw_a, lineno, "a"))
-        b_vals.append(_parse_float(raw_b, lineno, "b"))
+    header, subjects, a_parts, b_parts = ["subject", "a", "b"], [], [], []
     try:
-        return PairedSample(a=np.array(a_vals), b=np.array(b_vals), subject_ids=tuple(subjects))
+        for _, (chunk_subjects, raw_a, raw_b) in _chunks(text, header):
+            subjects += chunk_subjects
+            a_parts.append(np.array(raw_a, dtype=float))
+            b_parts.append(np.array(raw_b, dtype=float))
+        return PairedSample(a=np.concatenate(a_parts), b=np.concatenate(b_parts),
+                            subject_ids=tuple(subjects))
     except ValueError as exc:
-        raise ParseError(f"invalid paired data: {exc}") from None
+        problem = exc
+    seen: set[str] = set()
+    for linenos, (chunk_subjects, raw_a, raw_b) in _chunks(text, header):
+        for lineno, subject, a, b in zip(linenos, chunk_subjects, raw_a, raw_b):
+            if subject in seen:
+                raise ParseError(f"line {lineno}: duplicate subject id {subject!r}")
+            seen.add(subject)
+            _parse_float(a, lineno, "a")
+            _parse_float(b, lineno, "b")
+    raise ParseError(f"invalid paired data: {problem}")
 
 
 def parse_replicated(text: str) -> ReplicatedSample:
-    """Parse a long-format ``subject,method,replicate,value`` CSV."""
-    records: list[ReplicateRecord] = []
-    rows = _rows(text)
-    lineno, header = next(rows)
-    _expect_header(header, lineno, ["subject", "method", "replicate", "value"])
-    for lineno, row in rows:
-        if len(row) != 4:
-            raise ParseError(f"line {lineno}: expected 4 fields, got {len(row)}")
-        subject, method, raw_rep, raw_val = row
-        if method not in ("A", "B"):
-            raise ParseError(f"line {lineno}: method must be 'A' or 'B', got {method!r}")
-        try:
-            rep = int(raw_rep)
-        except ValueError:
-            raise ParseError(
-                f"line {lineno}: invalid replicate index {raw_rep!r}"
-            ) from None
-        records.append(
-            ReplicateRecord(
-                subject_id=subject,
-                method=method,
-                replicate=rep,
-                value=_parse_float(raw_val, lineno, "value"),
-            )
-        )
+    """Parse a long-format ``subject,method,replicate,value`` CSV.
+
+    Columns convert in bulk, with repeated ids and labels interned to share one
+    string; a failure re-scans the rows one by one to name the offending line.
+    """
+    header = ["subject", "method", "replicate", "value"]
+    subjects, methods, reps, values = [], [], [], []
     try:
-        return ReplicatedSample(records=tuple(records))
-    except ValueError as exc:
-        raise ParseError(f"invalid replicated data: {exc}") from None
+        for _, (chunk_subjects, chunk_methods, raw_reps, raw_values) in _chunks(text, header):
+            subjects += map(sys.intern, chunk_subjects)
+            methods += map(sys.intern, chunk_methods)
+            reps.append(np.array(raw_reps, dtype=np.int64))
+            values.append(np.array(raw_values, dtype=float))
+        return ReplicatedSample(subjects, methods, np.concatenate(reps), np.concatenate(values))
+    except (ValueError, OverflowError) as exc:
+        problem = exc
+    seen: set[tuple[str, str, int]] = set()
+    for linenos, columns in _chunks(text, header):
+        for lineno, subject, method, rep, raw in zip(linenos, *columns):
+            if method not in ("A", "B"):
+                raise ParseError(f"line {lineno}: method must be 'A' or 'B', got {method!r}")
+            try:
+                index = np.int64(rep)
+            except (ValueError, OverflowError):
+                raise ParseError(f"line {lineno}: invalid replicate index {rep!r}") from None
+            _parse_float(raw, lineno, "value")
+            if (subject, method, index) in seen:
+                raise ParseError(f"line {lineno}: duplicate replicate {index} for subject "
+                                 f"{subject!r}, method {method}")
+            seen.add((subject, method, index))
+    raise ParseError(f"invalid replicated data: {problem}")
 
 
 def write_paired(sample: PairedSample) -> str:

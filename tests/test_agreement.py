@@ -8,7 +8,6 @@ from methodagree.agreement import (
     Direction,
     PairedSample,
     ReplicatedSample,
-    ReplicateRecord,
     WeightPair,
     WithinSubjectVariance,
     analyze,
@@ -24,11 +23,10 @@ from methodagree.numerics import DegenerateDataError, covariance, variance
 
 def make_replicates(groups):
     """groups: {(subject, method): [values]} -> ReplicatedSample"""
-    records = []
-    for (subject, method), values in groups.items():
-        for i, v in enumerate(values, start=1):
-            records.append(ReplicateRecord(subject, method, i, v))
-    return ReplicatedSample(records=tuple(records))
+    rows = [(subject, method, i, v)
+            for (subject, method), values in groups.items()
+            for i, v in enumerate(values, start=1)]
+    return ReplicatedSample(*zip(*rows))
 
 
 def random_sample(rng, n=40, spread=1.0):
@@ -68,6 +66,32 @@ class TestDomainTypes:
     def test_replicated_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="method label"):
             make_replicates({("s1", "C"): [1.0, 2.0]})
+
+    def test_replicated_rejects_duplicate_replicate(self):
+        with pytest.raises(ValueError, match="duplicate replicate 1 for subject 's1', method A"):
+            ReplicatedSample(["s1", "s1", "s1", "s1", "s1"], ["A", "B", "A", "B", "A"],
+                             [1, 1, 2, 2, 1], [1.0, 2.0, 3.0, 4.0, 1.0])
+
+    def test_replicated_rejects_fractional_replicate_index(self):
+        with pytest.raises(ValueError, match="replicate indices must be integers"):
+            ReplicatedSample(["s1"] * 4, ["A", "A", "B", "B"], [1.2, 1.7, 1, 2],
+                             [1.0, 2.0, 3.0, 4.0])
+
+    def test_replicated_rejects_ragged_columns(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            ReplicatedSample(["s1", "s1"], ["A", "A"], [1, 2], [1.0])
+
+    @pytest.mark.parametrize("field", ["s_wa2", "s_wb2"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_variances_must_be_finite(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            WithinSubjectVariance(**{"s_wa2": 1.0, "s_wb2": 1.0, field: bad})
+
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_weights_must_be_finite(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            WeightPair(**{"alpha": 1.0, "beta": 1.0, field: bad})
 
     def test_variances_must_not_both_vanish(self):
         with pytest.raises(ValueError, match="degenerate weights"):
@@ -142,6 +166,39 @@ class TestWithinSubjectVariance:
         estimates = np.asarray(estimates)
         se = estimates.std(ddof=1) / np.sqrt(len(estimates))
         assert abs(estimates.mean() - true_var) < 3 * se
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pooling_matches_per_group_reference(self, data):
+        # Unequal designs: replicate counts differ between methods and between
+        # subjects, and rows arrive in arbitrary order.
+        n = data.draw(st.integers(3, 6), label="subjects")
+        counts = data.draw(st.lists(st.tuples(st.integers(2, 9), st.integers(2, 9)),
+                                    min_size=n, max_size=n).filter(
+                                        lambda c: any(a != b for a, b in c)), label="counts")
+        value = st.floats(-1e3, 1e3, allow_nan=False)
+        rows = [(f"s{i}", m, r, data.draw(value))
+                for i, (m_a, m_b) in enumerate(counts)
+                for m, m_count in (("A", m_a), ("B", m_b))
+                for r in range(1, m_count + 1)]
+        rows = data.draw(st.permutations(rows), label="row order")
+        reps = ReplicatedSample(*zip(*rows))
+        assert reps.subjects == tuple(dict.fromkeys(row[0] for row in rows))
+
+        scale = max(1.0, max(abs(row[3]) for row in rows))
+        pairs = paired_from_replicates(reps)
+        for j, method in enumerate("AB"):
+            ss, dof, means = 0.0, 0, []
+            for subject in reps.subjects:
+                group = np.array([v for s, m, _, v in rows if s == subject and m == method])
+                np.testing.assert_array_equal(reps.values(subject, method), group)
+                means.append(group.mean())
+                ss += float(((group - group.mean()) ** 2).sum())
+                dof += group.size - 1
+            np.testing.assert_allclose((pairs.a, pairs.b)[j], means,
+                                       rtol=1e-12, atol=1e-12 * scale)
+            np.testing.assert_allclose(within_subject_variance(reps, method), ss / dof,
+                                       rtol=1e-12, atol=1e-12 * scale**2)
 
     def test_paired_from_replicates_uses_means(self):
         reps = make_replicates(

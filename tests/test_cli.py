@@ -74,6 +74,11 @@ class TestAnalyze:
         assert code == 2
         assert "degenerate weights" in captured.err
 
+    def test_non_finite_variance_rejected(self, paired_csv, capsys):
+        code = main(["analyze", "--input", str(paired_csv), "--swa", "nan", "--swb", "1"])
+        assert code == 2
+        assert "s_wa2 must be finite, got nan" in capsys.readouterr().err
+
     def test_swa_without_swb_rejected(self, paired_csv, capsys):
         code = main(["analyze", "--input", str(paired_csv), "--swa", "1.0"])
         assert code == 2
@@ -206,6 +211,17 @@ class TestReplicateVariance:
         out = capsys.readouterr().out
         assert "s_w2 A: 5" in out
         assert "s_w2 B: 0" in out
+
+    def test_unequal_design_output_is_exact(self, tmp_path, capsys):
+        path = tmp_path / "reps.csv"
+        path.write_text(
+            "subject,method,replicate,value\n"
+            "s1,A,1,10.5\ns1,B,1,11.25\ns1,A,2,9.75\n\ns1,B,2,12.5\ns1,B,3,10.0\n"
+            "s2,A,1,20.1\ns2,A,2,19.3\ns2,A,3,21.7\ns2,B,1,18.0\ns2,B,2,22.4\n",
+            encoding="utf-8",
+        )
+        assert main(["replicate-variance", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == "s_w2 A: 1.08930555556\ns_w2 B: 4.26833333333\n"
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["replicate-variance", "--input", str(tmp_path / "nope.csv")])

@@ -8,6 +8,7 @@ from methodagree.agreement import (
     WithinSubjectVariance,
     analyze,
 )
+from methodagree.io import _CHUNK_LINES as CHUNK_LINES
 from methodagree.io import (
     ParseError,
     emit_plot,
@@ -68,6 +69,16 @@ class TestParsePaired:
         with pytest.raises(ParseError, match="empty"):
             parse_paired("")
 
+    @pytest.mark.parametrize("row, message", [
+        ("3,99,x", "line 6: invalid number 'x' for column b"),
+        ("3,inf,99", "line 6: non-finite value for column a"),
+        ("1,99,98", "line 6: duplicate subject id '1'"),
+    ])
+    def test_bad_row_after_blank_lines_names_its_line(self, row, message):
+        text = "subject,a,b\n1,120,124\n\n2,110,113\n \n" + row + "\n4,1,2\n"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_paired(text)
+
     def test_write_read_round_trip(self):
         sample = generate(preset_config("c", seed=9))
         again = parse_paired(write_paired(sample))
@@ -99,6 +110,69 @@ class TestParseReplicated:
             parse_replicated(
                 "subject,method,replicate,value\ns1,A,1,100\ns1,A,2,oops\n"
             )
+
+
+class TestReplicatedErrorLines:
+    """Each bad row follows blank lines, so the line number counts them."""
+
+    HEAD = "subject,method,replicate,value\ns1,A,1,100\n\n , \ns1,A,2,104\n\n"
+
+    @pytest.mark.parametrize("row, message", [
+        ("s1,B,1,oops", "line 7: invalid number 'oops' for column value"),
+        ("s1,B,1,nan", "line 7: non-finite value for column value"),
+        ("s1,B,1,inf", "line 7: non-finite value for column value"),
+        ("s1,B,1,-Infinity", "line 7: non-finite value for column value"),
+        ("s1,B,1.5,98", "line 7: invalid replicate index '1.5'"),
+        ("s1,B,x,98", "line 7: invalid replicate index 'x'"),
+        ("s1,B,99999999999999999999,98", "line 7: invalid replicate index"),
+        ("s1,B,1,98,5", "line 7: expected 4 fields, got 5"),
+        ("s1,B,1", "line 7: expected 4 fields, got 3"),
+        ("s1,C,1,98", "line 7: method must be 'A' or 'B', got 'C'"),
+    ])
+    def test_bad_row_names_its_line(self, row, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_replicated(self.HEAD + row + "\ns1,B,2,95\ns1,B,3,94\n")
+
+    def test_first_bad_row_wins(self):
+        text = self.HEAD + "s1,B,1,98\ns1,X,2,95\ns1,B,3,nan\n"
+        with pytest.raises(ParseError, match="line 8: method must be"):
+            parse_replicated(text)
+
+    def test_duplicate_replicate_names_second_line(self):
+        text = self.HEAD + "s1,B,1,98\n\ns1,B,2,95\ns1,A,1,101\n"
+        with pytest.raises(ParseError, match=re.escape(
+                "line 10: duplicate replicate 1 for subject 's1', method A")):
+            parse_replicated(text)
+
+    def test_sample_level_error_keeps_its_message(self):
+        with pytest.raises(ParseError, match="invalid replicated data: subjects not covered"):
+            parse_replicated(self.HEAD + "s2,B,1,98\ns2,B,2,95\n")
+
+    def test_lines_count_across_chunks(self):
+        # The header sits after more blank lines than one chunk holds, and the
+        # bad row is several chunks further down.
+        blank = "\n" * (CHUNK_LINES + 5)
+        rows = "".join(f"s{i},A,1,{i}\ns{i},A,2,{i}\ns{i},B,1,{i}\ns{i},B,2,{i}\n"
+                       for i in range(CHUNK_LINES))
+        text = blank + "subject,method,replicate,value\n" + rows
+        reps = parse_replicated(text)
+        assert len(reps.subjects) == CHUNK_LINES
+        np.testing.assert_array_equal(reps.values(f"s{CHUNK_LINES - 1}", "B"),
+                                      [CHUNK_LINES - 1] * 2)
+        bad_line = CHUNK_LINES + 6 + 3 * CHUNK_LINES + 2
+        lines = text.splitlines()
+        lines[bad_line - 1] = lines[bad_line - 1].rsplit(",", 1)[0] + ",nan"
+        with pytest.raises(ParseError, match=f"line {bad_line}: non-finite"):
+            parse_replicated("\n".join(lines))
+        lines = text.splitlines()
+        lines[bad_line - 1] = lines[bad_line - 5]
+        with pytest.raises(ParseError, match=f"line {bad_line}: duplicate replicate"):
+            parse_replicated("\n".join(lines))
+
+    def test_bulk_values_equal_row_parsing(self):
+        reps = parse_replicated(self.HEAD + "s1,B,1, 0.1 \ns1,B, 2 ,1e-3\n")
+        np.testing.assert_array_equal(reps.values("s1", "B"), [float("0.1"), float("1e-3")])
+        np.testing.assert_array_equal(reps.replicate, [1, 2, 1, 2])
 
 
 class TestReports:
