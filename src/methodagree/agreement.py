@@ -16,13 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import (
-    DegenerateDataError,
-    RegressionFit,
-    linear_fit,
-    mean,
-    variance,
-)
+from .numerics import DegenerateDataError, RegressionFit, linear_fit
 
 __all__ = [
     "Direction",
@@ -91,10 +85,12 @@ class PairedSample:
             raise ValueError(f"need at least 3 subjects, got {a.size}")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("measurements contain non-finite values")
-        ids = tuple(self.subject_ids) or tuple(str(i + 1) for i in range(a.size))
-        if len(ids) != a.size:
+        ids = tuple(self.subject_ids)
+        if not ids:  # default ids "1".."n" are unique by construction
+            ids = tuple(map(str, range(1, a.size + 1)))
+        elif len(ids) != a.size:
             raise ValueError(f"{len(ids)} subject ids for {a.size} measurement pairs")
-        if len(set(ids)) != len(ids):
+        elif len(set(ids)) != len(ids):
             raise ValueError("duplicate subject ids")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -348,11 +344,11 @@ def analyze(
         axis_values = (a + b) / 2.0
         weights = None
 
-    if variance(axis_values) <= 0.0:
+    if np.var(axis_values, ddof=1) <= 0.0:
         raise DegenerateDataError("axis values are constant; nothing to plot against")
 
-    bias = mean(diffs)
-    sd = float(np.sqrt(variance(diffs)))
+    bias = float(diffs.mean())
+    sd = float(diffs.std(ddof=1))
     fit = linear_fit(axis_values, diffs, confidence=confidence)
     return AgreementResult(
         direction=direction,

@@ -30,6 +30,7 @@ from .agreement import (
     PairedSample,
     ReplicatedSample,
     WeightPair,
+    _coerce,
 )
 from .numerics import RegressionFit
 
@@ -206,13 +207,16 @@ def parse_report(text: str) -> AgreementResult:
         raise ParseError(f"invalid report JSON: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != REPORT_FORMAT:
         raise ParseError(f"not a {REPORT_FORMAT} document")
+    if payload.get("version") != REPORT_VERSION:
+        raise ParseError(f"unsupported report version {payload.get('version')!r}; "
+                         f"expected {REPORT_VERSION}")
     try:
         fit = RegressionFit(**payload["fit"])
         weights = payload["weights"]
         points = np.asarray(payload["points"], dtype=float)
         return AgreementResult(
-            direction=Direction(payload["direction"]),
-            axis=AxisKind(payload["axis"]),
+            direction=_coerce(Direction, payload["direction"]),
+            axis=_coerce(AxisKind, payload["axis"]),
             weights=None if weights is None else WeightPair(**weights),
             bias=float(payload["bias"]),
             loa_low=float(payload["loa_low"]),
@@ -221,7 +225,7 @@ def parse_report(text: str) -> AgreementResult:
             axis_values=points[:, 0],
             differences=points[:, 1],
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"malformed report document: {exc}") from None
 
 

@@ -1,13 +1,12 @@
 """Deterministic statistics kernel.
 
 Sample moments, Pearson correlation inference, ordinary least squares with
-slope confidence intervals, Student-t special functions, and exact sample
+slope confidence intervals, Student-t functions, and exact sample
 whitening. Everything here is a pure function of its inputs; no module
 state, no randomness.
 
-The Student-t CDF is evaluated through the regularized incomplete beta
-function (continued fraction), so the module has no runtime dependency
-beyond numpy.
+The Student-t CDF and quantile are ``scipy.special.stdtr`` and ``stdtrit``
+behind argument checks; moments and whitening are plain numpy.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import stdtr, stdtrit
 
 __all__ = [
     "DegenerateDataError",
@@ -74,16 +74,21 @@ def covariance(x, y) -> float:
     return float(np.dot(xv - xv.mean(), yv - yv.mean()) / (xv.size - 1))
 
 
+def _moments(xv: np.ndarray, yv: np.ndarray) -> tuple[float, float, float]:
+    # var(x), var(y) and cov(x, y), divisor n-1, of already validated vectors
+    cxy = np.dot(xv - xv.mean(), yv - yv.mean()) / (xv.size - 1)
+    return float(np.var(xv, ddof=1)), float(np.var(yv, ddof=1)), float(cxy)
+
+
 def pearson_r(x, y) -> float:
     """Pearson correlation coefficient of two nonconstant vectors (n >= 3)."""
     xv, yv = _as_pair(x, y, 3)
-    vx = variance(xv)
-    vy = variance(yv)
+    vx, vy, cxy = _moments(xv, yv)
     if vx <= 0.0 or vy <= 0.0:
         raise DegenerateDataError(
             "zero-variance input: correlation is undefined for constant signals"
         )
-    r = covariance(xv, yv) / math.sqrt(vx * vy)
+    r = cxy / math.sqrt(vx * vy)
     return float(min(1.0, max(-1.0, r)))
 
 
@@ -110,70 +115,6 @@ def correlation_p_value(r: float, n: int) -> float:
 
 
 # --- Student-t distribution -------------------------------------------------
-#
-# CDF via the regularized incomplete beta function I_x(df/2, 1/2) with
-# x = df/(df + t^2); the continued fraction is evaluated by the modified
-# Lentz scheme with the usual symmetry split for convergence.
-
-_BETACF_MAX_ITER = 300
-_BETACF_EPS = 1e-12
-_BETACF_FPMIN = 1e-300
-
-
-def _beta_cont_frac(a: float, b: float, x: float) -> float:
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _BETACF_FPMIN:
-        d = _BETACF_FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _BETACF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETACF_FPMIN:
-            d = _BETACF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETACF_FPMIN:
-            c = _BETACF_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETACF_FPMIN:
-            d = _BETACF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETACF_FPMIN:
-            c = _BETACF_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETACF_EPS:
-            return h
-    raise ArithmeticError(
-        f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}"
-    )
-
-
-def _reg_incomplete_beta(a: float, b: float, x: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cont_frac(a, b, x) / a
-    return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
 
 
 def _check_df(df: int) -> int:
@@ -182,72 +123,20 @@ def _check_df(df: int) -> int:
     return int(df)
 
 
-def _student_t_pdf(t: float, df: int) -> float:
-    ln = (
-        math.lgamma((df + 1) / 2.0)
-        - math.lgamma(df / 2.0)
-        - 0.5 * math.log(df * math.pi)
-        - ((df + 1) / 2.0) * math.log1p(t * t / df)
-    )
-    return math.exp(ln)
-
-
 def student_t_cdf(t: float, df: int) -> float:
     """CDF of the Student-t distribution with ``df`` degrees of freedom."""
     df = _check_df(df)
     if math.isnan(t):
         raise ValueError("t must not be NaN")
-    if t == 0.0:
-        return 0.5
-    if math.isinf(t):
-        return 1.0 if t > 0 else 0.0
-    x = df / (df + t * t)
-    half_tail = 0.5 * _reg_incomplete_beta(df / 2.0, 0.5, x)
-    return 1.0 - half_tail if t > 0 else half_tail
+    return float(stdtr(df, t))
 
 
 def student_t_quantile(q: float, df: int) -> float:
-    """Inverse of :func:`student_t_cdf`.
-
-    Bracketed bisection refined with safeguarded Newton steps. The initial
-    bracket [-50, 50] covers every workload in this package; it is widened
-    geometrically when ``q`` falls outside it (heavy tails at small ``df``).
-    """
+    """Inverse of :func:`student_t_cdf`; ``q`` must lie strictly in (0, 1)."""
     df = _check_df(df)
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile level must lie strictly in (0, 1), got {q}")
-    if q == 0.5:
-        return 0.0
-
-    lo, hi = -50.0, 50.0
-    while student_t_cdf(lo, df) > q:
-        lo *= 2.0
-    while student_t_cdf(hi, df) < q:
-        hi *= 2.0
-
-    x = 0.0
-    for _ in range(200):
-        fx = student_t_cdf(x, df) - q
-        if fx == 0.0:
-            return x
-        if fx > 0.0:
-            hi = min(hi, x)
-        else:
-            lo = max(lo, x)
-        pdf = _student_t_pdf(x, df)
-        if pdf > 0.0:
-            step = fx / pdf
-            x_new = x - step
-        else:
-            x_new = 0.5 * (lo + hi)
-        if not lo < x_new < hi:  # Newton left the bracket; bisect instead
-            x_new = 0.5 * (lo + hi)
-        if abs(fx) < 1e-14 and abs(x_new - x) <= 1e-12 * max(1.0, abs(x)):
-            return x_new
-        x = x_new
-        if hi - lo <= 1e-13 * max(1.0, abs(x)):
-            return x
-    return x
+    return float(stdtrit(df, q))
 
 
 # --- Regression -------------------------------------------------------------
@@ -279,13 +168,11 @@ def linear_fit(x, y, confidence: float = 0.95) -> RegressionFit:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     xv, yv = _as_pair(x, y, 3)
     n = xv.size
-    vx = variance(xv)
+    vx, vy, cxy = _moments(xv, yv)
     if vx <= 0.0:
         raise DegenerateDataError("cannot fit a line on a constant x")
-    vy = variance(yv)
-    cxy = covariance(xv, yv)
     slope = cxy / vx
-    intercept = mean(yv) - slope * mean(xv)
+    intercept = float(yv.mean()) - slope * float(xv.mean())
     if vy > 0.0:
         r = min(1.0, max(-1.0, cxy / math.sqrt(vx * vy)))
     else:

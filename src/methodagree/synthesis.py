@@ -25,6 +25,7 @@ from .agreement import (
     PairedSample,
     WeightPair,
     WithinSubjectVariance,
+    _coerce,
     analyze,
     general_covariance_identity,
 )
@@ -154,7 +155,7 @@ def closed_form_moments(
     form. This is the independent check for everything :func:`generate` +
     :func:`~methodagree.agreement.analyze` produce.
     """
-    direction = Direction(direction) if not isinstance(direction, Direction) else direction
+    direction = _coerce(Direction, direction)
     sc2 = config.sigma_c**2
     var_a = config.k_a**2 * sc2 + config.s_a**2
     var_b = config.k_b**2 * sc2 + config.s_b**2
@@ -200,7 +201,7 @@ def monte_carlo_covariance(
         raise ValueError("monte_carlo_covariance needs exact_moments=False")
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
-    direction = Direction(direction) if not isinstance(direction, Direction) else direction
+    direction = _coerce(Direction, direction)
 
     sign = 1.0 if direction is Direction.A_MINUS_B else -1.0
     covs = np.empty(trials)

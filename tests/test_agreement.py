@@ -43,6 +43,12 @@ class TestDomainTypes:
         assert s.subject_ids == ("1", "2", "3")
         assert s.n == 3
 
+    def test_paired_sample_checks_given_ids(self):
+        with pytest.raises(ValueError, match="duplicate subject ids"):
+            PairedSample(a=[1.0, 2.0, 3.0], b=[1.0, 2.0, 3.0], subject_ids=("x", "y", "x"))
+        with pytest.raises(ValueError, match="2 subject ids for 3 measurement pairs"):
+            PairedSample(a=[1.0, 2.0, 3.0], b=[1.0, 2.0, 3.0], subject_ids=("x", "y"))
+
     def test_paired_sample_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
             PairedSample(a=[1, 2, 3], b=[1, 2])

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -210,6 +211,24 @@ class TestReports:
     def test_rejects_garbage(self):
         with pytest.raises(ParseError):
             parse_report("not json at all")
+
+    def _edited(self, **fields):
+        v = WithinSubjectVariance(0.25, 20.25)
+        payload = json.loads(emit_report(self._result("weighted", v)))
+        payload.update(fields)
+        return json.dumps(payload)
+
+    def test_rejects_bad_enum_value(self):
+        with pytest.raises(ParseError, match="expected one of 'a-b', 'b-a', got 'sideways'"):
+            parse_report(self._edited(direction="sideways"))
+
+    def test_rejects_non_finite_weight(self):
+        with pytest.raises(ParseError, match="alpha must be finite"):
+            parse_report(self._edited(weights={"alpha": float("inf"), "beta": 1.0}))
+
+    def test_rejects_other_version(self):
+        with pytest.raises(ParseError, match="unsupported report version 99; expected 1"):
+            parse_report(self._edited(version=99))
 
 
 class TestRounding:

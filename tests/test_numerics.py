@@ -1,7 +1,9 @@
 """Tests for the statistics kernel.
 
-scipy serves as the independent oracle for regression and the t
-distribution; the package itself never calls scipy for these.
+scipy.stats serves as the oracle for regression and the t distribution.
+The package's Student-t functions are scipy.special.stdtr/stdtrit, so the
+checks against quadrature and this file's own density are the independent
+ones.
 """
 
 import math
@@ -170,6 +172,13 @@ class TestStudentT:
         assert student_t_cdf(t, df) + student_t_cdf(-t, df) == pytest.approx(
             1.0, abs=1e-10
         )
+
+    def test_cdf_near_zero_at_large_df(self):
+        # F(t) = 1/2 + t * f(0) + O(t^3); at t = -1e-6 the cubic term is far
+        # below double precision, while df / (df + t^2) rounds to 1.0.
+        for df in (9998, 999998):
+            expected = 0.5 - 1e-6 * _t_density(0.0, df)
+            assert abs(student_t_cdf(-1e-6, df) - expected) <= 1e-15
 
     def test_cdf_bad_df(self):
         with pytest.raises(ValueError):
