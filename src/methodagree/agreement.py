@@ -11,6 +11,7 @@ and the closed-form covariance predictor that quantifies the artifact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -68,7 +69,7 @@ def _coerce(enum_cls, value):
 
 @dataclass(frozen=True)
 class PairedSample:
-    """Per-subject measurement pairs from methods A and B."""
+    """Per-subject measurement pairs from methods A and B, with the caller's ids or ``()``."""
 
     a: np.ndarray
     b: np.ndarray
@@ -86,11 +87,9 @@ class PairedSample:
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("measurements contain non-finite values")
         ids = tuple(self.subject_ids)
-        if not ids:  # default ids "1".."n" are unique by construction
-            ids = tuple(map(str, range(1, a.size + 1)))
-        elif len(ids) != a.size:
+        if ids and len(ids) != a.size:
             raise ValueError(f"{len(ids)} subject ids for {a.size} measurement pairs")
-        elif len(set(ids)) != len(ids):
+        if len(set(ids)) != len(ids):
             raise ValueError("duplicate subject ids")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -259,6 +258,15 @@ def weighted_average(a, b, v: WithinSubjectVariance):
     return (v.s_wb2 * np.asarray(a) + v.s_wa2 * np.asarray(b)) / (v.s_wa2 + v.s_wb2)
 
 
+def _unit_scaled(w: WeightPair) -> tuple[float, float]:
+    """Both weights times the power of two that puts the larger in [0.5, 1).
+
+    Exact, so weight ratios keep every bit; tiny or huge weights cannot under/overflow.
+    """
+    shift = -math.frexp(max(w.alpha, w.beta))[1]
+    return math.ldexp(w.alpha, shift), math.ldexp(w.beta, shift)
+
+
 def predicted_covariance(
     w: WeightPair,
     v: WithinSubjectVariance,
@@ -273,7 +281,8 @@ def predicted_covariance(
     the axis collapses to method B and the value becomes -s_wb2.
     """
     direction = _coerce(Direction, direction)
-    value = (w.alpha * v.s_wa2 - w.beta * v.s_wb2) / (w.alpha + w.beta)
+    alpha, beta = _unit_scaled(w)
+    value = (alpha * v.s_wa2 - beta * v.s_wb2) / (alpha + beta)
     return value if direction is Direction.A_MINUS_B else -value
 
 
@@ -287,9 +296,8 @@ def general_covariance_identity(
     """
     if var_a < 0.0 or var_b < 0.0:
         raise ValueError("variances must be nonnegative")
-    return (w.alpha * var_a - w.beta * var_b + (w.beta - w.alpha) * cov_ab) / (
-        w.alpha + w.beta
-    )
+    alpha, beta = _unit_scaled(w)
+    return (alpha * var_a - beta * var_b + (beta - alpha) * cov_ab) / (alpha + beta)
 
 
 def analyze(
@@ -330,10 +338,7 @@ def analyze(
     direction = _coerce(Direction, direction)
     a, b = sample.a, sample.b
 
-    if direction is Direction.A_MINUS_B:
-        diffs = a - b
-    else:
-        diffs = b - a
+    diffs = a - b if direction is Direction.A_MINUS_B else b - a
 
     if axis is AxisKind.WEIGHTED_AVERAGE:
         if variances is None:

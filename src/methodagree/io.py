@@ -16,7 +16,9 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from dataclasses import asdict
 from decimal import ROUND_HALF_UP, Decimal
+from io import StringIO
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
@@ -145,11 +147,18 @@ def parse_replicated(text: str) -> ReplicatedSample:
 
 
 def write_paired(sample: PairedSample) -> str:
-    """Serialize a paired sample to CSV (lossless float round-trip)."""
-    lines = ["subject,a,b"]
-    for subject, a, b in zip(sample.subject_ids, sample.a, sample.b):
-        lines.append(f"{subject},{float(a)!r},{float(b)!r}")
-    return "\n".join(lines) + "\n"
+    """Serialize a paired sample to CSV (lossless float round-trip).
+
+    Rows of a sample without subject ids are numbered 1..n. Ids that contain
+    commas or quotes are quoted; ids with line breaks or surrounding spaces do
+    not survive :func:`parse_paired`, which splits lines and strips fields.
+    """
+    out = StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("subject", "a", "b"))
+    writer.writerows(zip(sample.subject_ids or range(1, sample.n + 1),
+                         map(repr, sample.a.tolist()), map(repr, sample.b.tolist())))
+    return out.getvalue()
 
 
 def _write_text(path, text: str) -> None:
@@ -166,31 +175,17 @@ def emit_report(result: AgreementResult, path=None) -> str:
     Floats keep shortest round-trip precision, so :func:`parse_report`
     reconstructs the result exactly. Writes to ``path`` when given.
     """
-    fit = result.fit
     payload = {
         "format": REPORT_FORMAT,
         "version": REPORT_VERSION,
         "n": result.n,
         "direction": result.direction.value,
         "axis": result.axis.value,
-        "weights": (
-            None
-            if result.weights is None
-            else {"alpha": result.weights.alpha, "beta": result.weights.beta}
-        ),
+        "weights": None if result.weights is None else asdict(result.weights),
         "bias": result.bias,
         "loa_low": result.loa_low,
         "loa_high": result.loa_high,
-        "fit": {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "slope_se": fit.slope_se,
-            "ci_low": fit.ci_low,
-            "ci_high": fit.ci_high,
-            "r": fit.r,
-            "p_value": fit.p_value,
-            "df": fit.df,
-        },
+        "fit": asdict(result.fit),
         "points": [[float(x), float(d)] for x, d in zip(result.axis_values, result.differences)],
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -329,10 +324,7 @@ def render_plot_svg(result: AgreementResult, include_trend: bool = True) -> str:
     def sy(v: float) -> float:
         return _PLOT_B - (v - y_lo) / (y_hi - y_lo) * (_PLOT_B - _PLOT_T)
 
-    if result.axis is AxisKind.WEIGHTED_AVERAGE:
-        axis_name = "weighted average"
-    else:
-        axis_name = "mean"
+    axis_name = "weighted average" if result.axis is AxisKind.WEIGHTED_AVERAGE else "mean"
     diff_name = result.direction.value.replace("-", " - ")
     title = f"Difference ({diff_name}) vs {axis_name}"
 

@@ -26,6 +26,7 @@ from .agreement import (
     WeightPair,
     WithinSubjectVariance,
     _coerce,
+    _require_finite,
     analyze,
     general_covariance_identity,
 )
@@ -63,6 +64,7 @@ class SyntheticConfig:
     exact_moments: bool = True
 
     def __post_init__(self):
+        _require_finite(self, "k_a", "k_b", "s_a", "s_b", "sigma_c")
         if self.n < 3:
             raise ValueError(f"need n >= 3, got {self.n}")
         if self.exact_moments and self.n < 4:

@@ -18,6 +18,7 @@ from methodagree.agreement import (
     weighted_average,
     within_subject_variance,
 )
+from methodagree.io import write_paired
 from methodagree.numerics import DegenerateDataError, covariance, variance
 
 
@@ -40,7 +41,8 @@ def random_sample(rng, n=40, spread=1.0):
 class TestDomainTypes:
     def test_paired_sample_defaults_ids(self):
         s = PairedSample(a=[1.0, 2.0, 3.0], b=[1.5, 2.5, 3.5])
-        assert s.subject_ids == ("1", "2", "3")
+        assert s.subject_ids == ()
+        assert write_paired(s).splitlines()[1:] == ["1,1.0,1.5", "2,2.0,2.5", "3,3.0,3.5"]
         assert s.n == 3
 
     def test_paired_sample_checks_given_ids(self):
@@ -292,6 +294,13 @@ class TestCovariancePredictions:
         # cov(A - B, A) = var(A) - cov(A, B)
         w = WeightPair(1.0, 0.0)
         assert general_covariance_identity(w, 5.0, 3.0, 2.0) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-310, 1e308])
+    def test_extreme_weights_keep_precision(self, alpha):
+        # the weight ratio alone matters, however small or large the weights are
+        w = WeightPair(alpha, 0.0)
+        assert predicted_covariance(w, WithinSubjectVariance(1.5, 0.0)) == 1.5
+        assert general_covariance_identity(w, 2.5, 1.0, 1.0) == 1.5
 
     @given(
         st.floats(0.0, 10.0),

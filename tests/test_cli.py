@@ -171,6 +171,11 @@ class TestSimulate:
             main(["simulate", "--case", "q", "--out", str(tmp_path)])
         assert exc.value.code == 2
 
+    def test_non_finite_sigma_c_rejected(self, tmp_path, capsys):
+        code = main(["simulate", "--case", "a", "--sigma-c", "nan", "--out", str(tmp_path)])
+        assert code == 2
+        assert "sigma_c must be finite" in capsys.readouterr().err
+
 
 class TestTable1:
     def test_prints_reference_cells(self, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from methodagree.agreement import (
     AxisKind,
+    PairedSample,
     WithinSubjectVariance,
     analyze,
 )
@@ -85,7 +86,15 @@ class TestParsePaired:
         again = parse_paired(write_paired(sample))
         assert np.array_equal(again.a, sample.a)
         assert np.array_equal(again.b, sample.b)
+        assert write_paired(again) == write_paired(sample)
+
+    def test_ids_needing_quotes_round_trip(self):
+        sample = PairedSample(a=[1.0, 2.0, 3.0], b=[1.5, 2.5, 3.5], subject_ids=("x,1", 'q"z', "p"))
+        text = write_paired(sample)
+        assert text.splitlines()[1:3] == ['"x,1",1.0,1.5', '"q""z",2.0,2.5']
+        again = parse_paired(text)
         assert again.subject_ids == sample.subject_ids
+        assert write_paired(again) == text
 
 
 class TestParseReplicated:

@@ -47,6 +47,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SyntheticConfig(sigma_c=0.0)
 
+    @pytest.mark.parametrize("name", ["k_a", "k_b", "s_a", "s_b", "sigma_c"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameter_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            SyntheticConfig(**{name: value})
+
 
 class TestGenerate:
     def test_noise_free_methods_coincide(self):
