@@ -253,9 +253,12 @@ def weighted_average(a, b, v: WithinSubjectVariance):
     (s_wb2 * a + s_wa2 * b) / (s_wa2 + s_wb2). With equal variances this is
     the arithmetic mean; with one variance zero it returns the error-free
     method's values unchanged. Scaling both variances by a common positive
-    factor leaves the result unchanged. Accepts scalars or arrays.
+    factor leaves the result unchanged; the variances are scaled by an exact
+    power of two first, so huge or subnormal ones neither overflow nor lose
+    digits. Accepts scalars or arrays.
     """
-    return (v.s_wb2 * np.asarray(a) + v.s_wa2 * np.asarray(b)) / (v.s_wa2 + v.s_wb2)
+    alpha, beta = _unit_scaled(WeightPair.from_variances(v))
+    return (alpha * np.asarray(a) + beta * np.asarray(b)) / (alpha + beta)
 
 
 def _unit_scaled(w: WeightPair) -> tuple[float, float]:

@@ -85,7 +85,7 @@ def _cmd_analyze(args) -> int:
         sample = paired_from_replicates(reps)
 
     if args.classic:
-        if has_sw or reps is not None:
+        if has_sw or (reps is not None and args.input is not None):
             print(
                 "warning: --classic ignores the supplied within-subject variances",
                 file=sys.stderr,

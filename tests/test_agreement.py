@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -245,6 +247,20 @@ class TestWeightedAverage:
         v = WithinSubjectVariance(1.0, 3.0)
         out = weighted_average(np.array([0.0, 4.0]), np.array([4.0, 0.0]), v)
         np.testing.assert_allclose(out, [1.0, 3.0])
+
+    def test_huge_variances_do_not_overflow(self):
+        a, b = np.array([1.37, 100.3]), np.array([5.0, 7.0])
+        with np.errstate(all="raise"):
+            out = weighted_average(a, b, WithinSubjectVariance(1e308, 1e308))
+        np.testing.assert_allclose(out, (a + b) / 2, rtol=1e-15)
+
+    def test_subnormal_variances_keep_their_ratio(self):
+        # 3 and 1 units of the smallest subnormal weight exactly like 3.0 and 1.0.
+        a, b = np.array([1.37, 100.3]), np.array([5.0, 7.0])
+        tiny = WithinSubjectVariance(math.ldexp(3.0, -1074), math.ldexp(1.0, -1074))
+        out = weighted_average(a, b, tiny)
+        np.testing.assert_array_equal(out, weighted_average(a, b, WithinSubjectVariance(3.0, 1.0)))
+        np.testing.assert_allclose(out, (a + 3.0 * b) / 4.0, rtol=1e-15)
 
     @given(
         st.floats(-1e6, 1e6),

@@ -61,6 +61,18 @@ class TestAnalyze:
         assert code == 0
         assert "ignores" in captured.err
 
+    @pytest.mark.parametrize("with_input", [False, True])
+    def test_classic_with_replicates_warns_only_next_to_input(
+        self, paired_csv, replicated_csv, capsys, with_input
+    ):
+        # Alone, --replicates is the data, not a variance source to ignore.
+        extra = ["--input", str(paired_csv)] if with_input else []
+        code = main(["analyze", "--replicates", str(replicated_csv), "--classic", *extra])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "axis: arithmetic mean" in captured.out
+        assert ("ignores" in captured.err) if with_input else captured.err == ""
+
     def test_replicates_variance_source(self, replicated_csv, capsys):
         code = main(["analyze", "--replicates", str(replicated_csv)])
         assert code == 0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from methodagree.agreement import (
     AxisKind,
@@ -199,10 +200,43 @@ class TestPresetResults:
             assert weighted.fit.r == pytest.approx(classic.fit.r, abs=1e-9)
 
 
+def per_trial_reference(config, w, trials, direction):
+    """The documented stream contract, one trial at a time: each spawned seed
+    draws an (n, 3) block of uniforms, mapped to normals by the inverse CDF."""
+    sign = 1.0 if Direction(direction) is Direction.A_MINUS_B else -1.0
+    covs = []
+    for child in np.random.SeedSequence(config.seed).spawn(trials):
+        u = np.random.default_rng(child).random((config.n, 3))
+        z = ndtri(np.maximum(u, 2.0**-54))
+        c = config.sigma_c * z[:, 0]
+        a = config.k_a * c + config.s_a * z[:, 1]
+        b = config.k_b * c + config.s_b * z[:, 2]
+        d = sign * (a - b)
+        axis = (w.alpha * a + w.beta * b) / (w.alpha + w.beta)
+        covs.append(np.dot(d - d.mean(), axis - axis.mean()) / (config.n - 1))
+    return np.mean(covs), np.std(covs, ddof=1) / np.sqrt(trials)
+
+
 class TestMonteCarlo:
     def test_rejects_exact_moments(self):
         with pytest.raises(ValueError, match="exact_moments"):
             monte_carlo_covariance(preset_config("a"), mean_weights(), 10)
+
+    @pytest.mark.parametrize(
+        "label, n, trials, w, direction",
+        [
+            ("c", 100, 257, WeightPair(1.0, 1.0), "a-b"),  # several blocks, short last
+            ("c", 20_000, 3, WeightPair(1.0, 1.0), "a-b"),  # one trial per block
+            ("d", 50, 30, WeightPair(3.0, 1.0), "a-b"),
+            ("d", 50, 30, WeightPair(3.0, 1.0), "b-a"),
+        ],
+    )
+    def test_matches_per_trial_reference(self, label, n, trials, w, direction):
+        config = preset_config(label, n=n, seed=n + trials, exact_moments=False)
+        got = monte_carlo_covariance(config, w, trials, direction=direction)
+        np.testing.assert_allclose(
+            got, per_trial_reference(config, w, trials, direction), rtol=1e-12
+        )
 
     def test_deterministic(self):
         config = preset_config("c", n=500, seed=77, exact_moments=False)
