@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import DegenerateDataError, RegressionFit, linear_fit
+from .numerics import DegenerateDataError, RegressionFit, _centred, linear_fit
 
 __all__ = [
     "Direction",
@@ -352,12 +352,13 @@ def analyze(
         axis_values = (a + b) / 2.0
         weights = None
 
-    if np.var(axis_values, ddof=1) <= 0.0:
-        raise DegenerateDataError("axis values are constant; nothing to plot against")
+    try:
+        fit = linear_fit(axis_values, diffs, confidence=confidence)
+    except DegenerateDataError:
+        raise DegenerateDataError("axis values are constant; nothing to plot against") from None
 
-    bias = float(diffs.mean())
-    sd = float(diffs.std(ddof=1))
-    fit = linear_fit(axis_values, diffs, confidence=confidence)
+    bias, centred, shift = _centred(diffs)
+    sd = math.ldexp(math.sqrt(np.dot(centred, centred) / (diffs.size - 1)), -shift)
     return AgreementResult(
         direction=direction,
         axis=axis,

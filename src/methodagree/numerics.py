@@ -74,16 +74,36 @@ def covariance(x, y) -> float:
     return float(np.dot(xv - xv.mean(), yv - yv.mean()) / (xv.size - 1))
 
 
-def _moments(xv: np.ndarray, yv: np.ndarray) -> tuple[float, float, float]:
-    # var(x), var(y) and cov(x, y), divisor n-1, of already validated vectors
-    cxy = np.dot(xv - xv.mean(), yv - yv.mean()) / (xv.size - 1)
-    return float(np.var(xv, ddof=1)), float(np.var(yv, ddof=1)), float(cxy)
+def _pow2_shift(v: np.ndarray) -> int:
+    # the exponent that puts the largest |v| in [0.5, 1); 0 for an all-zero v
+    return -math.frexp(max(v.max(), -v.min()))[1]
+
+
+def _centred(v: np.ndarray) -> tuple[float, np.ndarray, int]:
+    """Mean of ``v``, and ``(v - mean) * 2**shift`` with its shift.
+
+    The shift puts the largest |v| in [0.5, 1). Scaling by a power of two is
+    exact, so in the normal range every later moment is the unscaled one
+    times a power of two, bit for bit, while data near 1e300 or 1e-300
+    neither overflow nor underflow in squares and products.
+    """
+    shift = _pow2_shift(v)
+    scaled = np.ldexp(v, shift)
+    centre = float(scaled.mean())
+    scaled -= centre
+    return math.ldexp(centre, -shift), scaled, shift
+
+
+def _moments(xc: np.ndarray, yc: np.ndarray) -> tuple[float, float, float]:
+    # var(x), var(y) and cov(x, y), divisor n-1, of centred vectors
+    m = xc.size - 1
+    return float(np.dot(xc, xc)) / m, float(np.dot(yc, yc)) / m, float(np.dot(xc, yc)) / m
 
 
 def pearson_r(x, y) -> float:
     """Pearson correlation coefficient of two nonconstant vectors (n >= 3)."""
     xv, yv = _as_pair(x, y, 3)
-    vx, vy, cxy = _moments(xv, yv)
+    vx, vy, cxy = _moments(_centred(xv)[1], _centred(yv)[1])
     if vx <= 0.0 or vy <= 0.0:
         raise DegenerateDataError(
             "zero-variance input: correlation is undefined for constant signals"
@@ -162,23 +182,28 @@ def linear_fit(x, y, confidence: float = 0.95) -> RegressionFit:
     The slope confidence interval uses the Student-t quantile at ``df = n - 2``
     with SE^2 = (var(y)/var(x)) * (1 - r^2) / (n - 2); the variance-divisor
     choice cancels in that ratio. ``x`` must be nonconstant and both vectors
-    must have equal length n >= 3.
+    must have equal length n >= 3. Each vector is centred once and scaled by
+    an exact power of two, so data near 1e300 or 1e-300 fit as well as data
+    near 1.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     xv, yv = _as_pair(x, y, 3)
     n = xv.size
-    vx, vy, cxy = _moments(xv, yv)
+    x_mean, xc, p = _centred(xv)
+    y_mean, yc, q = _centred(yv)
+    # moments of x * 2**p and y * 2**q: r is scale-free, slope and SE scale by 2**(q - p)
+    vx, vy, cxy = _moments(xc, yc)
     if vx <= 0.0:
         raise DegenerateDataError("cannot fit a line on a constant x")
-    slope = cxy / vx
-    intercept = float(yv.mean()) - slope * float(xv.mean())
+    slope = math.ldexp(cxy / vx, p - q)
+    intercept = y_mean - slope * x_mean
     if vy > 0.0:
         r = min(1.0, max(-1.0, cxy / math.sqrt(vx * vy)))
     else:
         r = 0.0  # constant y: slope 0, no association to test
     df = n - 2
-    se = math.sqrt((vy / vx) * max(0.0, 1.0 - r * r) / df)
+    se = math.ldexp(math.sqrt((vy / vx) * max(0.0, 1.0 - r * r) / df), p - q)
     tq = student_t_quantile(1.0 - (1.0 - confidence) / 2.0, df)
     return RegressionFit(
         slope=slope,
@@ -202,7 +227,10 @@ def orthonormalize(columns) -> np.ndarray:
     variance exactly 1 and pairwise sample covariance 0, spanning the same
     space as the centered input. Symmetric (eigenvector-based) whitening is
     used, followed by a per-column rescale that pins the unit variances
-    down to float precision.
+    down to float precision. The work runs on a row-contiguous (k, n) copy,
+    scaled by one power of two so that data far from unit scale neither
+    overflow nor underflow; the result is the transposed view of that
+    (k, n) array, so each of its columns is contiguous in memory.
 
     Raises :class:`DegenerateDataError` when the centered columns are not
     linearly independent; if the input came from a random draw, retry with
@@ -217,8 +245,10 @@ def orthonormalize(columns) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("input contains non-finite values")
 
-    centered = x - x.mean(axis=0)
-    cov = centered.T @ centered / (n - 1)
+    # One common scale: a per-row one would rotate the symmetric whitener's output.
+    rows = np.ldexp(x.T, _pow2_shift(x), out=np.empty((k, n)))
+    rows -= rows.mean(axis=1, keepdims=True)
+    cov = rows @ rows.T / (n - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     if eigvals[-1] <= 0.0 or eigvals[0] <= 1e-10 * eigvals[-1]:
         raise DegenerateDataError(
@@ -226,7 +256,7 @@ def orthonormalize(columns) -> np.ndarray:
             "if they came from a random draw, retry with a different seed"
         )
     whitener = eigvecs @ np.diag(1.0 / np.sqrt(eigvals)) @ eigvecs.T
-    out = centered @ whitener
-    out -= out.mean(axis=0)
-    out /= out.std(axis=0, ddof=1)
-    return out
+    out = whitener @ rows
+    out -= out.mean(axis=1, keepdims=True)  # a large offset leaves a residual mean
+    out /= np.sqrt(np.einsum("ij,ij->i", out, out) / (n - 1))[:, None]
+    return out.T

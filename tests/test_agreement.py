@@ -429,6 +429,19 @@ class TestAnalyze:
         assert res.fit.p_value == pytest.approx(res_sw.fit.p_value, rel=1e-12)
         np.testing.assert_allclose(res.axis_values, res_sw.axis_values)
 
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    @pytest.mark.parametrize("axis", ["mean", "weighted"])
+    def test_far_from_unit_scale(self, scale, axis):
+        a, b, _ = np.random.default_rng(1).normal(size=(100, 3)).T
+        v = WithinSubjectVariance(1.5, 6.0) if axis == "weighted" else None
+        ref = analyze(PairedSample(a, b), axis=axis, variances=v)
+        res = analyze(PairedSample(a * scale, b * scale), axis=axis, variances=v)
+        for name in ("slope", "slope_se", "r", "p_value"):
+            assert getattr(res.fit, name) == pytest.approx(getattr(ref.fit, name), rel=1e-12)
+        for got, want in ((res.bias, ref.bias), (res.loa_low, ref.loa_low),
+                          (res.loa_high, ref.loa_high), (res.fit.intercept, ref.fit.intercept)):
+            assert got == pytest.approx(want * scale, rel=1e-12)
+
     def test_points_property(self):
         rng = np.random.default_rng(9)
         res = analyze(random_sample(rng, n=5))

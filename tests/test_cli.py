@@ -191,13 +191,16 @@ class TestSimulate:
 
 class TestTable1:
     def test_prints_reference_cells(self, capsys):
+        # criterion 1 asks for byte identity, so the whole table is pinned
         assert main(["table1"]) == 0
-        out = capsys.readouterr().out
-        assert "case" in out
-        assert "0.22" in out
-        assert "<0.001" in out
-        assert "-0.10 (-0.15 – -0.06)" in out
-        assert "0.01 (-0.09 – 0.10)" in out
+        assert capsys.readouterr().out == (
+            "      mean axis                           weighted axis\n"
+            "case  r     p      k (95% CI)              r     p      k (95% CI)\n"
+            "a     0.00  1.00   0.00 (-0.04 – 0.04)     0.00  1.00   0.00 (-0.04 – 0.04)\n"
+            "b     -0.42 <0.001 -0.10 (-0.15 – -0.06)   -0.42 <0.001 -0.10 (-0.15 – -0.06)\n"
+            "c     0.22  0.03   0.10 (0.01 – 0.18)      0.00  1.00   0.00 (-0.09 – 0.09)\n"
+            "d     0.01  0.91   0.01 (-0.09 – 0.10)     -0.22 0.03   -0.10 (-0.19 – -0.01)\n"
+        )
 
 
 class TestPredictCov:

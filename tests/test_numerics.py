@@ -6,6 +6,7 @@ checks against quadrature and this file's own density are the independent
 ones.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -278,6 +279,24 @@ class TestLinearFit:
         with pytest.raises(ValueError):
             linear_fit([1, 2, 3], [1, 2, 3], confidence=1.0)
 
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_far_from_unit_scale(self, scale):
+        # squares of 1e160 overflow and of 1e-170 underflow without rescaling
+        x, y, _ = np.random.default_rng(1).normal(size=(100, 3)).T
+        ref = linear_fit(x, y)
+        fit = linear_fit(x * scale, y * scale)
+        for name in ("slope", "slope_se", "ci_low", "ci_high", "r", "p_value"):
+            assert getattr(fit, name) == pytest.approx(getattr(ref, name), rel=1e-12), name
+        assert fit.intercept == pytest.approx(ref.intercept * scale, rel=1e-12)
+        assert pearson_r(x * scale, y * scale) == pytest.approx(ref.r, rel=1e-12)
+
+    @pytest.mark.parametrize("shift", [600, -600])
+    def test_power_of_two_scale_changes_nothing_but_the_scale(self, shift):
+        x, y, _ = np.random.default_rng(1).normal(size=(100, 3)).T
+        ref = linear_fit(x, 0.3 * x + y)
+        fit = linear_fit(np.ldexp(x, shift), np.ldexp(0.3 * x + y, shift))
+        assert fit == dataclasses.replace(ref, intercept=math.ldexp(ref.intercept, shift))
+
 
 def _assert_whitened(out: np.ndarray):
     n, k = out.shape
@@ -321,3 +340,21 @@ class TestOrthonormalize:
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError):
             orthonormalize(np.ones((3, 3)))
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e160])
+    def test_moment_contract_far_from_unit_scale(self, scale):
+        x = np.random.default_rng(7).normal(size=(100, 3))
+        out = orthonormalize(x * scale)
+        _assert_whitened(out)
+        # whitening is scale-free, so the output must not depend on the scale
+        np.testing.assert_allclose(out, orthonormalize(x), rtol=0, atol=1e-12)
+
+    def test_moment_contract_with_large_offset(self):
+        # centring 1e8 + N(0, 1) in floats leaves a mean near 1e-8; the output
+        # must still be centred to rounding
+        _assert_whitened(orthonormalize(np.random.default_rng(3).normal(size=(100, 3)) + 1e8))
+
+    def test_memory_order_does_not_matter(self):
+        x = np.random.default_rng(8).normal(size=(200, 3)) * [1.0, 3.0, 0.5] + 2.0
+        np.testing.assert_array_equal(orthonormalize(np.asfortranarray(x)),
+                                      orthonormalize(np.ascontiguousarray(x)))

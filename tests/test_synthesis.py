@@ -55,7 +55,31 @@ class TestConfig:
             SyntheticConfig(**{name: value})
 
 
+def whitened_reference(config):
+    """Exact-moment draws the way they were first defined: (n, 3) uniforms,
+    clamp, inverse normal CDF, then centring, symmetric eigh whitening and a
+    per-column rescale, all on the C-ordered (n, 3) array."""
+    u = np.random.default_rng(config.seed).random((config.n, 3))
+    z = ndtri(np.maximum(u, 2.0**-54))
+    centered = z - z.mean(axis=0)
+    vals, vecs = np.linalg.eigh(centered.T @ centered / (config.n - 1))
+    out = centered @ (vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T)
+    out -= out.mean(axis=0)
+    out /= out.std(axis=0, ddof=1)
+    c = config.sigma_c * out[:, 0]
+    return config.k_a * c + config.s_a * out[:, 1], config.k_b * c + config.s_b * out[:, 2]
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("label", sorted(CASE_PRESETS))
+    @pytest.mark.parametrize("n", [4, 100, 10_000])
+    def test_matches_whitened_reference(self, label, n):
+        config = preset_config(label, n=n, seed=n + 11)
+        sample = generate(config)
+        for got, want in zip((sample.a, sample.b), whitened_reference(config)):
+            # rtol 1e-12 of the data scale: entries near 0 carry absolute rounding
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
     def test_noise_free_methods_coincide(self):
         config = SyntheticConfig(k_a=1.0, k_b=1.0, s_a=0.0, s_b=0.0, seed=3)
         sample = generate(config)
