@@ -61,7 +61,8 @@ class ParseError(ValueError):
 
 def _chunks(text: str, header: list[str]):
     """Per chunk of lines: the line numbers and stripped columns of non-blank data rows."""
-    reader, start, header_line = csv.reader(text.splitlines()), 1, None
+    lines = text.removeprefix("\ufeff").splitlines()  # a byte-order mark is not data
+    reader, start, header_line = csv.reader(lines), 1, None
     while rows := list(islice(reader, _CHUNK_LINES)):
         linenos = [i for i, line in enumerate(map(str.strip, map("".join, rows)), start) if line]
         data = [rows[i - start] for i in linenos]
@@ -168,13 +169,25 @@ def _write_text(path, text: str) -> None:
 
 # --- JSON reports -----------------------------------------------------------
 
+#: One (axis value, difference) row of the points block, as ``json.dumps``
+#: with ``indent=2`` lays it out at that depth.
+_POINT_ROW = "    [\n      %r,\n      %r\n    ]"
+
 
 def emit_report(result: AgreementResult, path=None) -> str:
     """Serialize an :class:`AgreementResult` to JSON text.
 
     Floats keep shortest round-trip precision, so :func:`parse_report`
-    reconstructs the result exactly. Writes to ``path`` when given.
+    reconstructs the result exactly. The scalar fields go through
+    ``json.dumps(indent=2, sort_keys=True)``; the points block is formatted
+    directly from the two columns in the same layout, one ``repr`` per
+    number, which is the text ``json`` writes for a finite float. Points must
+    be finite. Writes to ``path`` when given.
     """
+    xs = np.asarray(result.axis_values, dtype=float)
+    ds = np.asarray(result.differences, dtype=float)
+    if not (np.isfinite(xs).all() and np.isfinite(ds).all()):
+        raise ValueError("report points must be finite")
     payload = {
         "format": REPORT_FORMAT,
         "version": REPORT_VERSION,
@@ -186,9 +199,11 @@ def emit_report(result: AgreementResult, path=None) -> str:
         "loa_low": result.loa_low,
         "loa_high": result.loa_high,
         "fit": asdict(result.fit),
-        "points": [[float(x), float(d)] for x, d in zip(result.axis_values, result.differences)],
+        "points": [],
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    rows = ",\n".join(map(_POINT_ROW.__mod__, zip(xs.tolist(), ds.tolist())))
+    text = text.replace('"points": []', f'"points": [\n{rows}\n  ]', 1)
     if path is not None:
         _write_text(path, text)
     return text
@@ -209,6 +224,10 @@ def parse_report(text: str) -> AgreementResult:
         fit = RegressionFit(**payload["fit"])
         weights = payload["weights"]
         points = np.asarray(payload["points"], dtype=float)
+        if points.ndim != 2 or points.shape[1] != 2 or not np.isfinite(points).all():
+            raise ValueError("points must be an (n, 2) array of finite numbers")
+        if payload["n"] != len(points):
+            raise ValueError(f"n is {payload['n']!r} but there are {len(points)} points")
         return AgreementResult(
             direction=_coerce(Direction, payload["direction"]),
             axis=_coerce(AxisKind, payload["axis"]),
@@ -279,6 +298,10 @@ _PLOT_T, _PLOT_B = 40.0, 540.0
 
 def _px(v: float) -> str:
     return f"{v:.2f}"
+
+
+#: A scatter point; ``%.2f`` formats as :func:`_px` does.
+_CIRCLE = '<circle class="pt" cx="%.2f" cy="%.2f" r="3" fill="#1f77b4" fill-opacity="0.7"/>'
 
 
 def _tick_label(v: float) -> str:
@@ -374,11 +397,12 @@ def render_plot_svg(result: AgreementResult, include_trend: bool = True) -> str:
         f"Difference ({diff_name})</text>"
     )
 
-    for x, d in zip(xs, ds):
-        parts.append(
-            f'<circle class="pt" cx="{_px(sx(float(x)))}" cy="{_px(sy(float(d)))}" '
-            f'r="3" fill="#1f77b4" fill-opacity="0.7"/>'
-        )
+    # sx and sy apply to whole columns with the same float operations in the
+    # same order, so every coordinate keeps its bits. Where Python floats
+    # overflow to inf or give nan silently, so do the columns.
+    with np.errstate(all="ignore"):
+        cxs, cys = sx(np.asarray(xs, dtype=float)), sy(np.asarray(ds, dtype=float))
+    parts += map(_CIRCLE.__mod__, zip(cxs.tolist(), cys.tolist()))
 
     def hline(cls: str, y_value: float, dash: str | None, color: str) -> str:
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""

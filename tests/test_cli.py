@@ -131,6 +131,24 @@ class TestAnalyze:
         assert "direction: a-b" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--input", "{paired}", "--swa", "2.0", "--swb", "4.5"],
+    ["analyze", "--replicates", "{replicated}"],
+    ["replicate-variance", "--input", "{replicated}"],
+])
+def test_byte_order_mark_accepted(argv, tmp_path, capsys):
+    out = {}
+    for encoding in ("utf-8", "utf-8-sig"):  # utf-8-sig writes U+FEFF first
+        paths = {}
+        for name, text in (("paired", PAIRED), ("replicated", REPLICATED)):
+            paths[name] = tmp_path / f"{name}-{encoding}.csv"
+            paths[name].write_text(text, encoding=encoding)
+        assert main([arg.format(**paths) for arg in argv]) == 0
+        out[encoding] = capsys.readouterr().out
+    assert paths["paired"].read_bytes().startswith(b"\xef\xbb\xbf")
+    assert out["utf-8-sig"] == out["utf-8"]
+
+
 class TestSimulate:
     def test_writes_all_artifacts(self, tmp_path, capsys):
         out = tmp_path / "sim"

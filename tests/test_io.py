@@ -1,12 +1,18 @@
 import json
 import re
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from methodagree.agreement import (
+    AgreementResult,
     AxisKind,
+    Direction,
     PairedSample,
+    WeightPair,
     WithinSubjectVariance,
     analyze,
 )
@@ -23,6 +29,7 @@ from methodagree.io import (
     round_half_away,
     write_paired,
 )
+from methodagree.numerics import RegressionFit
 from methodagree.synthesis import generate, preset_config, preset_results
 
 PAIRED_OK = "subject,a,b\n1,120,124\n2,110,113\n3,100,99\n"
@@ -81,6 +88,13 @@ class TestParsePaired:
         with pytest.raises(ParseError, match=re.escape(message)):
             parse_paired(text)
 
+    def test_byte_order_mark_ignored(self):
+        sample = parse_paired("\ufeff" + PAIRED_OK)
+        assert sample.subject_ids == ("1", "2", "3")
+        np.testing.assert_array_equal(sample.a, [120, 110, 100])
+        with pytest.raises(ParseError, match="line 2: invalid number"):
+            parse_paired("\ufeffsubject,a,b\nx,abc,1\n")
+
     def test_write_read_round_trip(self):
         sample = generate(preset_config("c", seed=9))
         again = parse_paired(write_paired(sample))
@@ -102,6 +116,13 @@ class TestParseReplicated:
         reps = parse_replicated(REPLICATED_OK)
         assert reps.subjects == ("s1", "s2")
         np.testing.assert_allclose(reps.values("s1", "A"), [100, 104])
+
+    def test_byte_order_mark_ignored(self):
+        reps = parse_replicated("\ufeff" + REPLICATED_OK)
+        assert reps.subjects == ("s1", "s2")
+        np.testing.assert_array_equal(reps.values("s2", "B"), [121, 125])
+        with pytest.raises(ParseError, match="line 3: invalid number"):
+            parse_replicated("\ufeffsubject,method,replicate,value\ns1,A,1,100\ns1,A,2,oops\n")
 
     def test_single_replicate_rejected(self):
         text = (
@@ -239,6 +260,80 @@ class TestReports:
         with pytest.raises(ParseError, match="unsupported report version 99; expected 1"):
             parse_report(self._edited(version=99))
 
+    FOUR_POINTS = [[1.0, 0.5], [2.0, -0.5], [3.0, 1.5], [4.0, 0.0]]
+
+    def test_rejects_count_that_disagrees_with_points(self):
+        with pytest.raises(ParseError, match="n is 99 but there are 4 points"):
+            parse_report(self._edited(n=99, points=self.FOUR_POINTS))
+
+    def test_rejects_rows_of_three_numbers(self):
+        rows = [row + [7.0] for row in self.FOUR_POINTS]
+        with pytest.raises(ParseError, match=re.escape("points must be an (n, 2) array")):
+            parse_report(self._edited(n=4, points=rows))
+
+    def test_rejects_nan_points(self):
+        rows = self.FOUR_POINTS[:3] + [[float("nan"), 1.0]]
+        assert "NaN" in self._edited(n=4, points=rows)
+        with pytest.raises(ParseError, match="array of finite numbers"):
+            parse_report(self._edited(n=4, points=rows))
+
+    def test_emit_rejects_non_finite_points(self):
+        result = self._result()
+        bad = result.differences.copy()
+        bad[1] = np.inf
+        with pytest.raises(ValueError, match="report points must be finite"):
+            emit_report(replace(result, differences=bad))
+
+
+def _reference_report(result: AgreementResult) -> str:
+    """A report as json.dumps writes it from a payload of per-point lists."""
+    payload = {
+        "format": "methodagree.report",
+        "version": 1,
+        "n": result.n,
+        "direction": result.direction.value,
+        "axis": result.axis.value,
+        "weights": None if result.weights is None else asdict(result.weights),
+        "bias": result.bias,
+        "loa_low": result.loa_low,
+        "loa_high": result.loa_high,
+        "fit": asdict(result.fit),
+        "points": [[float(x), float(d)] for x, d in zip(result.axis_values, result.differences)],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               1.0, -3.0, 1e16, 123456789.0, 0.1]
+FINITE = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+POSITIVE = st.one_of(st.sampled_from([5e-324, 1.0, 1.7976931348623157e308]),
+                     st.floats(min_value=5e-324, allow_infinity=False))
+
+
+class TestReportLayout:
+    @given(points=st.lists(st.tuples(FINITE, FINITE), min_size=3, max_size=40),
+           scalars=st.lists(FINITE, min_size=10, max_size=10),
+           df=st.integers(1, 10**6),
+           weights=st.none() | st.builds(WeightPair, POSITIVE, POSITIVE),
+           direction=st.sampled_from(Direction))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_json_dumps_of_per_point_payload(self, points, scalars, df, weights,
+                                                    direction):
+        bias, loa_low, loa_high, *fit = scalars
+        result = AgreementResult(
+            direction=direction,
+            axis=AxisKind.ARITHMETIC_MEAN if weights is None else AxisKind.WEIGHTED_AVERAGE,
+            weights=weights, bias=bias, loa_low=loa_low, loa_high=loa_high,
+            fit=RegressionFit(*fit, df=df),
+            axis_values=np.array([x for x, _ in points]),
+            differences=np.array([d for _, d in points]),
+        )
+        text = emit_report(result)
+        assert text == _reference_report(result)
+        back = parse_report(text)
+        assert np.array_equal(back.points, result.points)
+        assert np.array_equal(np.signbit(back.points), np.signbit(result.points))
+
 
 class TestRounding:
     def test_ties_go_away_from_zero(self):
@@ -292,6 +387,71 @@ def _tick_mapping(svg: str, axis: str):
         return values[0] + (p - px[0]) * span_v / span_px
 
     return to_data
+
+
+def _reference_circles(result: AgreementResult, include_trend: bool) -> list[str]:
+    """Scatter points as a per-point loop of scalar sx/sy closures draws them."""
+    xs, ds, fit = result.axis_values, result.differences, result.fit
+
+    def data_range(lo, hi):
+        pad = 0.1 * (hi - lo) if hi - lo > 0.0 else 1.0
+        return lo - pad, hi + pad
+
+    x_data_lo, x_data_hi = float(xs.min()), float(xs.max())
+    trend_ys = ([fit.intercept + fit.slope * x_data_lo, fit.intercept + fit.slope * x_data_hi]
+                if include_trend else [])
+    y_candidates = [float(ds.min()), float(ds.max()), result.loa_low, result.loa_high,
+                    result.bias, *trend_ys]
+    x_lo, x_hi = data_range(x_data_lo, x_data_hi)
+    y_lo, y_hi = data_range(float(min(y_candidates)), float(max(y_candidates)))
+
+    def sx(v):
+        return 70.0 + (v - x_lo) / (x_hi - x_lo) * (780.0 - 70.0)
+
+    def sy(v):
+        return 540.0 - (v - y_lo) / (y_hi - y_lo) * (540.0 - 40.0)
+
+    def _px(v):
+        return f"{v:.2f}"
+
+    return [f'<circle class="pt" cx="{_px(sx(float(x)))}" cy="{_px(sy(float(d)))}" '
+            f'r="3" fill="#1f77b4" fill-opacity="0.7"/>' for x, d in zip(xs, ds)]
+
+
+def _scaled_result(scale: float, offset: float, axis: str) -> AgreementResult:
+    rng = np.random.default_rng(21)
+    truth = rng.normal(0.0, 1.0, 400)
+    a = offset + scale * (truth + rng.normal(0.0, 0.3, truth.size))
+    b = offset + scale * (truth + rng.normal(0.1, 0.9, truth.size))
+    return analyze(PairedSample(a=a, b=b), axis=axis,
+                   variances=WithinSubjectVariance(0.09, 0.81))  # only their ratio matters
+
+
+class TestPlotPoints:
+    @pytest.mark.parametrize("include_trend", [True, False])
+    @pytest.mark.parametrize("axis", ["mean", "weighted"])
+    @pytest.mark.parametrize("scale, offset", [(1e-300, 0.0), (1e300, 0.0), (1.0, 1e8),
+                                               (1.0, 0.0)])
+    def test_equal_to_per_point_loop(self, scale, offset, axis, include_trend):
+        result = _scaled_result(scale, offset, axis)
+        svg = render_plot_svg(result, include_trend=include_trend)
+        circles = [line for line in svg.splitlines() if line.startswith("<circle")]
+        assert circles == _reference_circles(result, include_trend)
+
+    def test_range_beyond_largest_double(self):
+        # The x range overflows to inf, so every x coordinate is nan, as it
+        # is for scalar Python floats; the columns must not warn either.
+        xs = np.array([-1.7e308, -0.5e308, 0.5e308, 1.7e308])
+        result = AgreementResult(
+            direction=Direction.B_MINUS_A, axis=AxisKind.ARITHMETIC_MEAN, weights=None,
+            bias=0.0, loa_low=-1.0, loa_high=1.0,
+            fit=RegressionFit(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2),
+            axis_values=xs, differences=np.array([-0.5, 0.25, 0.5, 0.0]),
+        )
+        circles = [line for line in render_plot_svg(result).splitlines()
+                   if line.startswith("<circle")]
+        assert circles == _reference_circles(result, True)
+        assert all('cx="nan"' in line for line in circles)
 
 
 class TestPlots:
