@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
+from contextlib import suppress
 from dataclasses import asdict
 from decimal import ROUND_HALF_UP, Decimal
 from io import StringIO
-from itertools import islice
-from operator import itemgetter
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from .agreement import (
     WeightPair,
     _coerce,
 )
-from .numerics import RegressionFit
+from .numerics import RegressionFit, _pow2_shift
 
 __all__ = [
     "ParseError",
@@ -51,7 +52,8 @@ __all__ = [
 
 REPORT_FORMAT = "methodagree.report"
 REPORT_VERSION = 1
-#: Lines parsed per chunk: bounds the memory held by csv row lists.
+#: Lines per chunk: bounds the memory held at once by one chunk's lines, its
+#: fields and columns, or the csv module's row lists where that module reads it.
 _CHUNK_LINES = 4096
 
 
@@ -59,23 +61,77 @@ class ParseError(ValueError):
     """Malformed input file; the message names the offending line."""
 
 
+def _csv_chunks(lines: list[str], lineno: int):
+    """Lists of at most ``_CHUNK_LINES`` csv rows of ``lines``, whose first is line ``lineno``.
+
+    A csv error, such as the field-size limit that an unterminated quote runs
+    into, becomes a :class:`ParseError` naming the line its record starts on,
+    which a second reading of the failing chunk, row by row, finds.
+    """
+    reader = csv.reader(lines)
+    while True:
+        done = reader.line_num
+        try:
+            rows = list(islice(reader, _CHUNK_LINES))
+        except csv.Error as exc:
+            reader, start = csv.reader(lines[done:]), 0
+            with suppress(csv.Error):
+                for _ in reader:
+                    start = reader.line_num
+            raise ParseError(f"line {lineno + done + start}: {exc}") from None
+        if not rows:
+            return
+        yield rows
+
+
+def _check_header(first: list[str], header: list[str], lineno: int) -> None:
+    first = [f.strip() for f in first]
+    if [f.lower() for f in first] != header:
+        raise ParseError(f"line {lineno}: expected header {','.join(header)!r}, "
+                         f"got {','.join(first)!r}")
+
+
 def _chunks(text: str, header: list[str]):
-    """Per chunk of lines: the line numbers and stripped columns of non-blank data rows."""
+    """Per chunk of lines: the line numbers and stripped columns of non-blank data rows.
+
+    Without a ``"`` the csv module's default dialect splits a line at every
+    comma and nowhere else, so a chunk of such text whose lines all have one
+    comma fewer than ``header`` has fields is split in one pass. Text with
+    quotes, and chunks with other comma counts, go through ``csv.reader``.
+    """
+    width, quoted = len(header), '"' in text
     lines = text.removeprefix("\ufeff").splitlines()  # a byte-order mark is not data
-    reader, start, header_line = csv.reader(lines), 1, None
-    while rows := list(islice(reader, _CHUNK_LINES)):
-        linenos = [i for i, line in enumerate(map(str.strip, map("".join, rows)), start) if line]
-        data = [rows[i - start] for i in linenos]
-        start += len(rows)
+    if quoted:  # a quoted field may span lines, so a chunk holds csv records
+        chunks = _csv_chunks(lines, 1)
+    else:
+        chunks = (lines[i:i + _CHUNK_LINES] for i in range(0, len(lines), _CHUNK_LINES))
+    start, header_line = 1, None
+    for chunk in chunks:
+        linenos = range(start, start + len(chunk))
+        # an empty line, the usual blank row, fails the comma count at once
+        if (not quoted and "" not in chunk
+                and set(map(str.count, chunk, repeat(","))) == {width - 1}):
+            fields = ",".join(chunk).split(",")
+        else:
+            rows = chunk if quoted else next(_csv_chunks(chunk, start))
+            linenos = [n for n, line in zip(linenos, map(str.strip, map("".join, rows))) if line]
+            rows = [rows[n - start] for n in linenos]
+            if set(map(len, rows)) - {width}:
+                if header_line is None:  # a header of the wrong width fails as a header
+                    _check_header(rows[0], header, linenos[0])
+                lineno, row = next((n, r) for n, r in zip(linenos, rows) if len(r) != width)
+                raise ParseError(f"line {lineno}: expected {width} fields, got {len(row)}")
+            fields = list(chain.from_iterable(rows))
+        columns = [list(map(str.strip, fields[k::width])) for k in range(width)]
+        if "" in columns[0]:  # only a row whose first field is empty can be blank
+            keep = [i for i, row in enumerate(zip(*columns)) if any(row)]
+            linenos, columns = [linenos[i] for i in keep], [[c[i] for i in keep] for c in columns]
         if header_line is None and linenos:
-            header_line, first = linenos.pop(0), [f.strip() for f in data.pop(0)]
-            if [f.lower() for f in first] != header:
-                raise ParseError(f"line {header_line}: expected header "
-                                 f"{','.join(header)!r}, got {','.join(first)!r}")
-        if set(map(len, data)) - {len(header)}:
-            lineno, row = next((n, r) for n, r in zip(linenos, data) if len(r) != len(header))
-            raise ParseError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-        yield linenos, [list(map(str.strip, map(itemgetter(k), data))) for k in range(len(header))]
+            header_line = linenos[0]
+            _check_header([c[0] for c in columns], header, header_line)
+            linenos, columns = linenos[1:], [c[1:] for c in columns]
+        start += len(chunk)
+        yield linenos, columns
     if header_line is None:
         raise ParseError("empty input")
 
@@ -308,12 +364,25 @@ def _tick_label(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _data_range(values, pad_fraction: float = 0.1) -> tuple[float, float]:
-    lo = float(min(values))
-    hi = float(max(values))
+def _pixel_map(lo: float, hi: float, p_lo: float, p_hi: float):
+    """Map data in [lo, hi], plus 10% margins, onto pixels ``p_lo`` to ``p_hi``.
+
+    The mapping runs on values times an exact power of two that puts the
+    larger of |lo| and |hi| in [0.5, 1), as ``numerics._centred`` does. A
+    range wider than the largest double then still maps to finite pixels,
+    and in the normal range every pixel keeps its bits.
+    """
+    shift = _pow2_shift(np.array([lo, hi]))
+    lo, hi = math.ldexp(lo, shift), math.ldexp(hi, shift)
     span = hi - lo
-    pad = pad_fraction * span if span > 0.0 else 1.0
-    return lo - pad, hi + pad
+    # from 2**53 on, rounding would absorb a constant's unit pad: pad by one ulp
+    pad = 0.1 * span if span > 0.0 else max(math.ldexp(1.0, shift), math.ulp(lo))
+    lo, hi = lo - pad, hi + pad
+
+    def to_px(v):
+        return p_lo + (np.ldexp(v, shift) - lo) / (hi - lo) * (p_hi - p_lo)
+
+    return to_px
 
 
 def render_plot_svg(result: AgreementResult, include_trend: bool = True) -> str:
@@ -338,14 +407,8 @@ def render_plot_svg(result: AgreementResult, include_trend: bool = True) -> str:
     y_candidates = [float(ds.min()), float(ds.max()), result.loa_low, result.loa_high,
                     result.bias, *trend_ys]
     y_data_lo, y_data_hi = float(min(y_candidates)), float(max(y_candidates))
-    x_lo, x_hi = _data_range([x_data_lo, x_data_hi])
-    y_lo, y_hi = _data_range([y_data_lo, y_data_hi])
-
-    def sx(v: float) -> float:
-        return _PLOT_L + (v - x_lo) / (x_hi - x_lo) * (_PLOT_R - _PLOT_L)
-
-    def sy(v: float) -> float:
-        return _PLOT_B - (v - y_lo) / (y_hi - y_lo) * (_PLOT_B - _PLOT_T)
+    sx = _pixel_map(x_data_lo, x_data_hi, _PLOT_L, _PLOT_R)
+    sy = _pixel_map(y_data_lo, y_data_hi, _PLOT_B, _PLOT_T)
 
     axis_name = "weighted average" if result.axis is AxisKind.WEIGHTED_AVERAGE else "mean"
     diff_name = result.direction.value.replace("-", " - ")
@@ -398,10 +461,8 @@ def render_plot_svg(result: AgreementResult, include_trend: bool = True) -> str:
     )
 
     # sx and sy apply to whole columns with the same float operations in the
-    # same order, so every coordinate keeps its bits. Where Python floats
-    # overflow to inf or give nan silently, so do the columns.
-    with np.errstate(all="ignore"):
-        cxs, cys = sx(np.asarray(xs, dtype=float)), sy(np.asarray(ds, dtype=float))
+    # same order as to one value, so every coordinate keeps its bits.
+    cxs, cys = sx(np.asarray(xs, dtype=float)), sy(np.asarray(ds, dtype=float))
     parts += map(_CIRCLE.__mod__, zip(cxs.tolist(), cys.tolist()))
 
     def hline(cls: str, y_value: float, dash: str | None, color: str) -> str:

@@ -117,6 +117,15 @@ class TestAnalyze:
         assert code == 2
         assert "--input" in capsys.readouterr().err
 
+    def test_unterminated_quote_exits_2(self, tmp_path, capsys):
+        # the open quote swallows 20,000 rows, past the csv module's field limit
+        path = tmp_path / "reps.csv"
+        path.write_text('subject,method,replicate,value\n"S1,A,1,1.0\n'
+                        + "".join(f"S{i},A,1,1.0\n" for i in range(20_000)), encoding="utf-8")
+        code = main(["analyze", "--replicates", str(path)])
+        assert code == 2
+        assert "line 2: field larger than field limit" in capsys.readouterr().err
+
     def test_constant_axis_exits_3(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text(

@@ -1,12 +1,15 @@
+import csv
 import json
 import re
 from dataclasses import asdict, replace
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from methodagree import io as methodagree_io
 from methodagree.agreement import (
     AgreementResult,
     AxisKind,
@@ -204,6 +207,97 @@ class TestReplicatedErrorLines:
         reps = parse_replicated(self.HEAD + "s1,B,1, 0.1 \ns1,B, 2 ,1e-3\n")
         np.testing.assert_array_equal(reps.values("s1", "B"), [float("0.1"), float("1e-3")])
         np.testing.assert_array_equal(reps.replicate, [1, 2, 1, 2])
+
+
+class TestUnterminatedQuote:
+    """A quote left open swallows the rest of the file into one field."""
+
+    ROWS = "".join(f"s{i},A,1,1.0\n" for i in range(20_000))  # past the 128 KiB field limit
+
+    def test_paired(self):
+        with pytest.raises(ParseError, match=re.escape(
+                "line 3: field larger than field limit (131072)")):
+            parse_paired('subject,a,b\n1,2,3\n"s1,1,1\n' + self.ROWS.replace(",A,1", ""))
+
+    @pytest.mark.parametrize("good_rows", [0, CHUNK_LINES + 5])  # in the first chunk or later
+    def test_replicated(self, good_rows):
+        good = "".join(f"t{i},A,1,1.0\n" for i in range(good_rows))
+        with pytest.raises(ParseError, match=re.escape(
+                f"line {good_rows + 2}: field larger than field limit (131072)")):
+            parse_replicated('subject,method,replicate,value\n' + good + '"S1,A,1,1.0\n'
+                             + self.ROWS)
+
+
+def _reference_chunks(text: str, header: list[str]):
+    """The tokenizer as the csv module alone gives it: csv rows, then blank rows
+    dropped by joining and stripping each row, then rows transposed to columns."""
+    lines = text.removeprefix("\ufeff").splitlines()
+    reader, start, header_line = csv.reader(lines), 1, None
+    while rows := list(islice(reader, methodagree_io._CHUNK_LINES)):
+        linenos = [i for i, line in enumerate(map(str.strip, map("".join, rows)), start) if line]
+        data = [rows[i - start] for i in linenos]
+        start += len(rows)
+        if header_line is None and linenos:
+            header_line, first = linenos.pop(0), [f.strip() for f in data.pop(0)]
+            if [f.lower() for f in first] != header:
+                raise ParseError(f"line {header_line}: expected header "
+                                 f"{','.join(header)!r}, got {','.join(first)!r}")
+        if set(map(len, data)) - {len(header)}:
+            lineno, row = next((n, r) for n, r in zip(linenos, data) if len(r) != len(header))
+            raise ParseError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+        yield linenos, [[row[k].strip() for row in data] for k in range(len(header))]
+    if header_line is None:
+        raise ParseError("empty input")
+
+
+def _tokens(chunks, text: str, header: list[str]):
+    """Concatenated (line numbers, columns) of all chunks, or the ParseError message."""
+    linenos, columns = [], [[] for _ in header]
+    try:
+        for chunk_linenos, chunk_columns in chunks(text, header):
+            linenos += chunk_linenos
+            for column, part in zip(columns, chunk_columns):
+                column += part
+    except ParseError as exc:
+        return str(exc)
+    return linenos, columns
+
+
+_FIELDS = ["", " ", "\t", "s1", " S2 ", "A", "B", "1", " 2.5", "-3e4 ", "x y"]
+_QUOTED = ['"', '""', '"q,1"', '"a""b"', ' "c" ', '"\r\n"', '"d\ne"']
+
+
+@st.composite
+def _csv_texts(draw):
+    header = draw(st.sampled_from([["subject", "a", "b"],
+                                   ["subject", "method", "replicate", "value"]]))
+    field = st.sampled_from(_FIELDS + (_QUOTED if draw(st.booleans()) else []))
+    row = st.lists(field, min_size=len(header), max_size=len(header)).map(",".join)
+    line = st.one_of(
+        row, row, row,  # mostly right-width rows, so that whole chunks split in one pass
+        st.lists(field, max_size=6).map(",".join),
+        st.sampled_from(["", "  ", "\t", ",,", ",,,", " , ,\t,", "\v"]),
+    )
+    lines = draw(st.lists(line, max_size=14))
+    lines.insert(draw(st.integers(0, min(3, len(lines)))), draw(st.sampled_from([
+        ",".join(header), ",".join(header).upper(), " " + " , ".join(header) + "\t",
+        ",".join(header[:-1]), ",".join(header) + ",x", ""])))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r", "\v"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(map(str.__add__, lines, ends))[:-1 if draw(st.booleans()) else None]
+    return header, ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+class TestTokenizer:
+    @pytest.mark.parametrize("chunk_lines", [3, CHUNK_LINES])
+    @settings(max_examples=400, deadline=None)
+    @given(case=_csv_texts())
+    def test_equals_csv_only_reference(self, chunk_lines, case):
+        header, text = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(methodagree_io, "_CHUNK_LINES", chunk_lines)
+            assert (_tokens(methodagree_io._chunks, text, header)
+                    == _tokens(_reference_chunks, text, header))
 
 
 class TestReports:
@@ -438,20 +532,43 @@ class TestPlotPoints:
         circles = [line for line in svg.splitlines() if line.startswith("<circle")]
         assert circles == _reference_circles(result, include_trend)
 
+    @staticmethod
+    def _assert_pixels_in_box(result: AgreementResult) -> None:
+        x_keys = {"pt": ["cx"], "xtick": ["x1"], "trend": ["x1", "x2"]}
+        y_keys = {"pt": ["cy"], "ytick": ["y1"], "bias": ["y1"], "loa": ["y1"],
+                  "trend": ["y1", "y2"]}
+        elements = [(cls, dict(re.findall(r'(\w+)="([^"]*)"', attrs))) for cls, attrs
+                    in re.findall(r'<(?:circle|line) class="(\w+)" ([^>]*)>',
+                                  render_plot_svg(result))]
+        x_px = [float(e[k]) for cls, e in elements for k in x_keys.get(cls, [])]
+        y_px = [float(e[k]) for cls, e in elements for k in y_keys.get(cls, [])]
+        assert len(x_px) == result.n + 4 and len(y_px) == result.n + 7
+        assert all(70.0 <= x <= 780.0 for x in x_px), x_px  # nan fails too
+        assert all(40.0 <= y <= 540.0 for y in y_px), y_px
+
+    @pytest.mark.filterwarnings("error")
     def test_range_beyond_largest_double(self):
-        # The x range overflows to inf, so every x coordinate is nan, as it
-        # is for scalar Python floats; the columns must not warn either.
+        # hi - lo overflows to inf for the x range, but not in the scaled space
+        # the pixels are mapped in: every coordinate is finite, inside the box.
         xs = np.array([-1.7e308, -0.5e308, 0.5e308, 1.7e308])
-        result = AgreementResult(
+        self._assert_pixels_in_box(AgreementResult(
             direction=Direction.B_MINUS_A, axis=AxisKind.ARITHMETIC_MEAN, weights=None,
             bias=0.0, loa_low=-1.0, loa_high=1.0,
             fit=RegressionFit(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2),
             axis_values=xs, differences=np.array([-0.5, 0.25, 0.5, 0.0]),
-        )
-        circles = [line for line in render_plot_svg(result).splitlines()
-                   if line.startswith("<circle")]
-        assert circles == _reference_circles(result, True)
-        assert all('cx="nan"' in line for line in circles)
+        ))
+        a = np.array([-1e308, -0.9e308, 0.9e308, 1e308, 0.5e308])
+        b = a * (1 + np.array([1e-3, -2e-3, 1e-3, 0, -1e-3]))
+        self._assert_pixels_in_box(analyze(PairedSample(a=a, b=b), axis="weighted",
+                                           variances=WithinSubjectVariance(1.0, 2.0)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_constant_differences_beyond_unit_pad(self):
+        # every difference is 2**70, where a pad of 1.0 would vanish in rounding
+        a = np.array([0.0, 1e20, 2e20, 3e20, 5e20])
+        result = analyze(PairedSample(a=a, b=a + 2.0**70))
+        assert result.loa_low == result.loa_high == 2.0**70
+        self._assert_pixels_in_box(result)
 
 
 class TestPlots:
