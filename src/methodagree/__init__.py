@@ -29,14 +29,10 @@ from .numerics import (
     DegenerateDataError,
     RegressionFit,
     correlation_p_value,
-    covariance,
     linear_fit,
-    mean,
     orthonormalize,
-    pearson_r,
     student_t_cdf,
     student_t_quantile,
-    variance,
 )
 from .synthesis import (
     CASE_PRESETS,
@@ -67,22 +63,18 @@ __all__ = [
     "analyze",
     "closed_form_moments",
     "correlation_p_value",
-    "covariance",
     "estimate_variances",
     "general_covariance_identity",
     "generate",
     "linear_fit",
-    "mean",
     "monte_carlo_covariance",
     "orthonormalize",
     "paired_from_replicates",
-    "pearson_r",
     "predicted_covariance",
     "preset_config",
     "preset_results",
     "student_t_cdf",
     "student_t_quantile",
-    "variance",
     "weighted_average",
     "within_subject_variance",
 ]

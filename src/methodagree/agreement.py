@@ -154,11 +154,6 @@ class ReplicatedSample:
         self.replicate, self.value = replicate, value
         self._counts, self._means, self._s_w2 = counts, means, s_w2
 
-    def values(self, subject_id: str, method: str) -> np.ndarray:
-        """Replicate values of one (subject, method) group, in row order."""
-        rows = self.subject_code == self.subjects.index(subject_id)
-        return self.value[rows & (self.is_b == METHOD_LABELS.index(method))]
-
 
 def _require_finite(obj, *names: str) -> None:
     for name in names:
@@ -219,11 +214,6 @@ class AgreementResult:
     def n(self) -> int:
         return self.axis_values.size
 
-    @property
-    def points(self) -> np.ndarray:
-        """(n, 2) array of (axis value, difference) pairs."""
-        return np.column_stack([self.axis_values, self.differences])
-
 
 def within_subject_variance(reps: ReplicatedSample, method: str) -> float:
     """Pooled within-subject variance of one method.
@@ -262,11 +252,12 @@ def weighted_average(a, b, v: WithinSubjectVariance):
 
 
 def _unit_scaled(w: WeightPair) -> tuple[float, float]:
-    """Both weights times the power of two that puts the larger in [0.5, 1).
+    """Both weights times the power of two that puts the larger in [0.25, 0.5).
 
-    Exact, so weight ratios keep every bit; tiny or huge weights cannot under/overflow.
+    Exact, so weight ratios keep every bit; tiny or huge weights cannot under/overflow,
+    and ``alpha * a + beta * b`` never exceeds the larger of |a| and |b|.
     """
-    shift = -math.frexp(max(w.alpha, w.beta))[1]
+    shift = -math.frexp(max(w.alpha, w.beta))[1] - 1
     return math.ldexp(w.alpha, shift), math.ldexp(w.beta, shift)
 
 
@@ -341,16 +332,18 @@ def analyze(
     direction = _coerce(Direction, direction)
     a, b = sample.a, sample.b
 
-    diffs = a - b if direction is Direction.A_MINUS_B else b - a
-
-    if axis is AxisKind.WEIGHTED_AVERAGE:
-        if variances is None:
-            raise ValueError("weighted-average axis requires within-subject variances")
-        axis_values = weighted_average(a, b, variances)
-        weights = WeightPair.from_variances(variances)
-    else:
-        axis_values = (a + b) / 2.0
-        weights = None
+    if axis is AxisKind.WEIGHTED_AVERAGE and variances is None:
+        raise ValueError("weighted-average axis requires within-subject variances")
+    weights = None if axis is AxisKind.ARITHMETIC_MEAN else WeightPair.from_variances(variances)
+    with np.errstate(over="raise"):
+        try:  # ``what`` names the step that overflows
+            what = f"the difference {direction.value}"
+            diffs = a - b if direction is Direction.A_MINUS_B else b - a
+            what = "the sum a + b of the mean axis" if weights is None else "the weighted average"
+            axis_values = (a + b) / 2.0 if weights is None else weighted_average(a, b, variances)
+        except FloatingPointError:
+            raise ValueError(f"{what} overflows the largest double; "
+                             "rescale the measurements") from None
 
     try:
         fit = linear_fit(axis_values, diffs, confidence=confidence)

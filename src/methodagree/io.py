@@ -21,7 +21,7 @@ from contextlib import suppress
 from dataclasses import asdict
 from decimal import ROUND_HALF_UP, Decimal
 from io import StringIO
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,6 @@ __all__ = [
     "emit_plot",
     "render_plot_svg",
     "format_table",
-    "round_half_away",
 ]
 
 REPORT_FORMAT = "methodagree.report"
@@ -61,27 +60,33 @@ class ParseError(ValueError):
     """Malformed input file; the message names the offending line."""
 
 
-def _csv_chunks(lines: list[str], lineno: int):
-    """Lists of at most ``_CHUNK_LINES`` csv rows of ``lines``, whose first is line ``lineno``.
+def _csv_chunks(lines: list[str]):
+    """Per chunk of at most ``_CHUNK_LINES`` csv records of ``lines``: the line
+    each record starts on, and the records.
 
-    A csv error, such as the field-size limit that an unterminated quote runs
-    into, becomes a :class:`ParseError` naming the line its record starts on,
-    which a second reading of the failing chunk, row by row, finds.
+    A chunk whose records span more lines than they count (a quoted field holds
+    a line break), or that raises a csv error (such as the field-size limit an
+    unterminated quote runs into), is read again record by record to number its
+    records; an error then becomes a :class:`ParseError` naming that line.
     """
     reader = csv.reader(lines)
     while True:
-        done = reader.line_num
-        try:
+        done, rows = reader.line_num, None
+        with suppress(csv.Error):  # the chunk is read again below
             rows = list(islice(reader, _CHUNK_LINES))
-        except csv.Error as exc:
-            reader, start = csv.reader(lines[done:]), 0
-            with suppress(csv.Error):
-                for _ in reader:
-                    start = reader.line_num
-            raise ParseError(f"line {lineno + done + start}: {exc}") from None
-        if not rows:
+        if rows == []:
             return
-        yield rows
+        if rows and reader.line_num - done == len(rows):
+            yield range(done + 1, reader.line_num + 1), rows
+            continue
+        again, linenos = csv.reader(lines[done:]), []
+        for _ in rows or range(_CHUNK_LINES):
+            linenos.append(done + again.line_num + 1)
+            try:
+                next(again)
+            except csv.Error as exc:
+                raise ParseError(f"line {linenos[-1]}: {exc}") from None
+        yield linenos, rows
 
 
 def _check_header(first: list[str], header: list[str], lineno: int) -> None:
@@ -92,30 +97,33 @@ def _check_header(first: list[str], header: list[str], lineno: int) -> None:
 
 
 def _chunks(text: str, header: list[str]):
-    """Per chunk of lines: the line numbers and stripped columns of non-blank data rows.
+    """Per chunk: the line numbers and stripped columns of non-blank data rows.
 
-    Without a ``"`` the csv module's default dialect splits a line at every
-    comma and nowhere else, so a chunk of such text whose lines all have one
-    comma fewer than ``header`` has fields is split in one pass. Text with
-    quotes, and chunks with other comma counts, go through ``csv.reader``.
+    A row is numbered by the line its record starts on. Without a ``"`` the
+    csv module's default dialect splits a line at every comma and nowhere
+    else, so quote-free text is split with ``str.split``: in one pass for a
+    chunk whose lines all have one comma fewer than ``header`` has fields,
+    line by line otherwise. Text with quotes goes through ``csv.reader``, fed
+    lines with their breaks, so a quoted field may span lines and keeps them.
     """
     width, quoted = len(header), '"' in text
-    lines = text.removeprefix("\ufeff").splitlines()  # a byte-order mark is not data
-    if quoted:  # a quoted field may span lines, so a chunk holds csv records
-        chunks = _csv_chunks(lines, 1)
+    text = text.removeprefix("\ufeff")  # a byte-order mark is not data
+    if quoted:
+        chunks = _csv_chunks(text.splitlines(keepends=True))
     else:
-        chunks = (lines[i:i + _CHUNK_LINES] for i in range(0, len(lines), _CHUNK_LINES))
-    start, header_line = 1, None
-    for chunk in chunks:
-        linenos = range(start, start + len(chunk))
+        lines = text.splitlines()
+        chunks = ((range(i + 1, min(i + _CHUNK_LINES, len(lines)) + 1), lines[i:i + _CHUNK_LINES])
+                  for i in range(0, len(lines), _CHUNK_LINES))
+    header_line = None
+    for linenos, chunk in chunks:
         # an empty line, the usual blank row, fails the comma count at once
         if (not quoted and "" not in chunk
                 and set(map(str.count, chunk, repeat(","))) == {width - 1}):
             fields = ",".join(chunk).split(",")
         else:
-            rows = chunk if quoted else next(_csv_chunks(chunk, start))
-            linenos = [n for n, line in zip(linenos, map(str.strip, map("".join, rows))) if line]
-            rows = [rows[n - start] for n in linenos]
+            rows = chunk if quoted else [line.split(",") for line in chunk]
+            keep = list(map(str.strip, map("".join, rows)))  # empty, so false, for a blank row
+            linenos, rows = list(compress(linenos, keep)), list(compress(rows, keep))
             if set(map(len, rows)) - {width}:
                 if header_line is None:  # a header of the wrong width fails as a header
                     _check_header(rows[0], header, linenos[0])
@@ -130,7 +138,6 @@ def _chunks(text: str, header: list[str]):
             header_line = linenos[0]
             _check_header([c[0] for c in columns], header, header_line)
             linenos, columns = linenos[1:], [c[1:] for c in columns]
-        start += len(chunk)
         yield linenos, columns
     if header_line is None:
         raise ParseError("empty input")
@@ -207,8 +214,9 @@ def write_paired(sample: PairedSample) -> str:
     """Serialize a paired sample to CSV (lossless float round-trip).
 
     Rows of a sample without subject ids are numbered 1..n. Ids that contain
-    commas or quotes are quoted; ids with line breaks or surrounding spaces do
-    not survive :func:`parse_paired`, which splits lines and strips fields.
+    commas, quotes or line feeds are quoted and read back by :func:`parse_paired`
+    unchanged; surrounding whitespace, which it strips, and a lone carriage
+    return, which is written unquoted, do not survive.
     """
     out = StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -385,11 +393,11 @@ def _pixel_map(lo: float, hi: float, p_lo: float, p_hi: float):
     return to_px
 
 
-def render_plot_svg(result: AgreementResult, include_trend: bool = True) -> str:
+def render_plot_svg(result: AgreementResult) -> str:
     """Render the difference plot as a standalone SVG document.
 
     Scatter of (axis value, difference), a solid bias line, two dashed
-    limit-of-agreement lines and (optionally) a dotted trend line. The
+    limit-of-agreement lines and a dotted trend line. The
     viewBox is fixed at 800x600 with 10% data margins; x/y ticks at the
     data extremes carry ``%.6g`` labels, which makes the pixel-to-data
     mapping recoverable from the document itself.
@@ -399,11 +407,7 @@ def render_plot_svg(result: AgreementResult, include_trend: bool = True) -> str:
     fit = result.fit
 
     x_data_lo, x_data_hi = float(xs.min()), float(xs.max())
-    trend_ys = (
-        [fit.intercept + fit.slope * x_data_lo, fit.intercept + fit.slope * x_data_hi]
-        if include_trend
-        else []
-    )
+    trend_ys = [fit.intercept + fit.slope * x_data_lo, fit.intercept + fit.slope * x_data_hi]
     y_candidates = [float(ds.min()), float(ds.max()), result.loa_low, result.loa_high,
                     result.bias, *trend_ys]
     y_data_lo, y_data_hi = float(min(y_candidates)), float(max(y_candidates))
@@ -476,12 +480,11 @@ def render_plot_svg(result: AgreementResult, include_trend: bool = True) -> str:
     parts.append(hline("bias", result.bias, None, "#000000"))
     parts.append(hline("loa", result.loa_low, "8 5", "#d62728"))
     parts.append(hline("loa", result.loa_high, "8 5", "#d62728"))
-    if include_trend:
-        parts.append(
-            f'<line class="trend" x1="{_px(sx(x_data_lo))}" y1="{_px(sy(trend_ys[0]))}" '
-            f'x2="{_px(sx(x_data_hi))}" y2="{_px(sy(trend_ys[1]))}" stroke="#2ca02c" '
-            f'stroke-width="1.5" stroke-dasharray="2 4"/>'
-        )
+    parts.append(
+        f'<line class="trend" x1="{_px(sx(x_data_lo))}" y1="{_px(sy(trend_ys[0]))}" '
+        f'x2="{_px(sx(x_data_hi))}" y2="{_px(sy(trend_ys[1]))}" stroke="#2ca02c" '
+        f'stroke-width="1.5" stroke-dasharray="2 4"/>'
+    )
 
     for name, value in (("bias", result.bias), ("loa_low", result.loa_low),
                         ("loa_high", result.loa_high)):
@@ -495,9 +498,9 @@ def render_plot_svg(result: AgreementResult, include_trend: bool = True) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit_plot(result: AgreementResult, path=None, include_trend: bool = True) -> str:
+def emit_plot(result: AgreementResult, path=None) -> str:
     """Render the difference plot, optionally writing it to ``path``."""
-    text = render_plot_svg(result, include_trend=include_trend)
+    text = render_plot_svg(result)
     if path is not None:
         _write_text(path, text)
     return text

@@ -23,7 +23,6 @@ __all__ = [
     "mean",
     "variance",
     "covariance",
-    "pearson_r",
     "correlation_p_value",
     "student_t_cdf",
     "student_t_quantile",
@@ -98,18 +97,6 @@ def _moments(xc: np.ndarray, yc: np.ndarray) -> tuple[float, float, float]:
     # var(x), var(y) and cov(x, y), divisor n-1, of centred vectors
     m = xc.size - 1
     return float(np.dot(xc, xc)) / m, float(np.dot(yc, yc)) / m, float(np.dot(xc, yc)) / m
-
-
-def pearson_r(x, y) -> float:
-    """Pearson correlation coefficient of two nonconstant vectors (n >= 3)."""
-    xv, yv = _as_pair(x, y, 3)
-    vx, vy, cxy = _moments(_centred(xv)[1], _centred(yv)[1])
-    if vx <= 0.0 or vy <= 0.0:
-        raise DegenerateDataError(
-            "zero-variance input: correlation is undefined for constant signals"
-        )
-    r = cxy / math.sqrt(vx * vy)
-    return float(min(1.0, max(-1.0, r)))
 
 
 def correlation_p_value(r: float, n: int) -> float:

@@ -236,26 +236,19 @@ def preset_results(
     n: int = 100,
     sigma_c: float = 10.0,
     seed: int = 1,
-    direction: Direction | str = Direction.B_MINUS_A,
-    confidence: float = 0.95,
 ) -> list[tuple[str, AgreementResult, AgreementResult]]:
     """Run all four canonical cases through both analyses.
 
     Returns (label, mean-axis result, weighted-axis result) per case, with
-    the weighted axis built from the presets' true error variances.
+    differences taken b - a, 95% slope intervals and the weighted axis built
+    from the presets' true error variances.
     """
     out = []
     for label in sorted(CASE_PRESETS):
         config = preset_config(label, n=n, sigma_c=sigma_c, seed=seed)
         sample = generate(config)
         v = config.error_variances()
-        classic = analyze(
-            sample, axis=AxisKind.ARITHMETIC_MEAN, direction=direction,
-            confidence=confidence,
-        )
-        weighted = analyze(
-            sample, axis=AxisKind.WEIGHTED_AVERAGE, direction=direction,
-            confidence=confidence, variances=v,
-        )
+        classic = analyze(sample, axis=AxisKind.ARITHMETIC_MEAN)
+        weighted = analyze(sample, axis=AxisKind.WEIGHTED_AVERAGE, variances=v)
         out.append((label, classic, weighted))
     return out

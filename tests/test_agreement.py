@@ -1,8 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from methodagree.agreement import (
@@ -22,6 +23,11 @@ from methodagree.agreement import (
 )
 from methodagree.io import write_paired
 from methodagree.numerics import DegenerateDataError, covariance, variance
+
+
+#: Finite pairs whose classic axis overflows in a + b.
+NEAR_MAX_A = np.array([1e308, 1.5e308, 1.7e308, 1.2e308])
+NEAR_MAX_B = np.array([1.1e308, 1.4e308, 1.6e308, 1.3e308])
 
 
 def make_replicates(groups):
@@ -201,7 +207,9 @@ class TestWithinSubjectVariance:
             ss, dof, means = 0.0, 0, []
             for subject in reps.subjects:
                 group = np.array([v for s, m, _, v in rows if s == subject and m == method])
-                np.testing.assert_array_equal(reps.values(subject, method), group)
+                in_group = ((reps.subject_code == reps.subjects.index(subject))
+                            & (reps.is_b == (method == "B")))
+                np.testing.assert_array_equal(reps.value[in_group], group)
                 means.append(group.mean())
                 ss += float(((group - group.mean()) ** 2).sum())
                 dof += group.size - 1
@@ -261,6 +269,18 @@ class TestWeightedAverage:
         out = weighted_average(a, b, tiny)
         np.testing.assert_array_equal(out, weighted_average(a, b, WithinSubjectVariance(3.0, 1.0)))
         np.testing.assert_allclose(out, (a + 3.0 * b) / 4.0, rtol=1e-15)
+
+    @given(st.floats(-1.7e308, 1.7e308), st.floats(-1.7e308, 1.7e308),
+           st.floats(0.0, 1e308), st.floats(5e-324, 1e308))
+    @example(1.5e308, 1.4e308, 1.5, 1.5)
+    @settings(max_examples=200, deadline=None)
+    def test_stays_between_the_measurements_at_any_scale(self, a, b, swa2, swb2):
+        # whether alpha*a + beta*b overflows must not depend on the weights' mantissas
+        with np.errstate(over="raise", invalid="raise"):
+            w = weighted_average(a, b, WithinSubjectVariance(swa2, swb2))
+        # a few units of the last place, and of the smallest subnormal for subnormal data
+        slack = 4 * np.finfo(float).eps * max(abs(a), abs(b)) + 8 * 5e-324
+        assert min(a, b) - slack <= w <= max(a, b) + slack
 
     @given(
         st.floats(-1e6, 1e6),
@@ -393,6 +413,22 @@ class TestAnalyze:
         with pytest.raises(ValueError, match="variances"):
             analyze(random_sample(rng), axis="weighted")
 
+    @pytest.mark.parametrize("s_w2", [1.0, 1.5])
+    def test_weighted_axis_near_largest_double(self, s_w2):
+        res = analyze(PairedSample(NEAR_MAX_A, NEAR_MAX_B), axis="weighted",
+                      variances=WithinSubjectVariance(s_w2, s_w2))
+        np.testing.assert_allclose(res.axis_values, NEAR_MAX_A / 2 + NEAR_MAX_B / 2, rtol=1e-15)
+
+    def test_overflowing_mean_axis_is_named(self):
+        with pytest.raises(ValueError, match=re.escape("the sum a + b of the mean axis overflows")):
+            analyze(PairedSample(NEAR_MAX_A, NEAR_MAX_B))
+
+    @pytest.mark.parametrize("axis", ["mean", "weighted"])
+    def test_overflowing_difference_is_named(self, axis):
+        sample = PairedSample(a=[1e308, -1e308, 0.0], b=[-1e308, 1e308, 1.0])
+        with pytest.raises(ValueError, match="the difference b-a overflows"):
+            analyze(sample, axis=axis, variances=WithinSubjectVariance(1.0, 1.0))
+
     def test_constant_axis_rejected(self):
         sample = PairedSample(a=[1.0, 2.0, 3.0], b=[3.0, 2.0, 1.0])
         with pytest.raises(DegenerateDataError, match="constant"):
@@ -441,10 +477,3 @@ class TestAnalyze:
         for got, want in ((res.bias, ref.bias), (res.loa_low, ref.loa_low),
                           (res.loa_high, ref.loa_high), (res.fit.intercept, ref.fit.intercept)):
             assert got == pytest.approx(want * scale, rel=1e-12)
-
-    def test_points_property(self):
-        rng = np.random.default_rng(9)
-        res = analyze(random_sample(rng, n=5))
-        assert res.points.shape == (5, 2)
-        np.testing.assert_allclose(res.points[:, 0], res.axis_values)
-        np.testing.assert_allclose(res.points[:, 1], res.differences)

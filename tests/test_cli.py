@@ -126,6 +126,19 @@ class TestAnalyze:
         assert code == 2
         assert "line 2: field larger than field limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, code", [(["--classic"], 2),
+                                             (["--swa", "1.5", "--swb", "1.5"], 0)],
+                             ids=["classic", "weighted"])
+    def test_values_near_largest_double(self, tmp_path, capsys, flags, code):
+        # a + b overflows for the mean axis; the weighted axis stays finite
+        path = tmp_path / "big.csv"
+        path.write_text("subject,a,b\n1,1e308,1.1e308\n2,1.5e308,1.4e308\n"
+                        "3,1.7e308,1.6e308\n4,1.2e308,1.3e308\n", encoding="utf-8")
+        assert main(["analyze", "--input", str(path), *flags]) == code
+        err = capsys.readouterr().err
+        assert err == ("error: the sum a + b of the mean axis overflows the largest double; "
+                       "rescale the measurements\n" if code else "")
+
     def test_constant_axis_exits_3(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text(

@@ -44,6 +44,12 @@ REPLICATED_OK = (
 )
 
 
+def group_values(reps, subject: str, method: str) -> np.ndarray:
+    """Replicate values of one (subject, method) group, in row order."""
+    rows = reps.subject_code == reps.subjects.index(subject)
+    return reps.value[rows & (reps.is_b == (method == "B"))]
+
+
 class TestParsePaired:
     def test_minimal_valid_file(self):
         sample = parse_paired(PAIRED_OK)
@@ -91,6 +97,13 @@ class TestParsePaired:
         with pytest.raises(ParseError, match=re.escape(message)):
             parse_paired(text)
 
+    def test_quoted_line_break_counts_its_lines(self):
+        # the quoted id spans lines 2 and 3, so the bad row is on line 4
+        text = 'subject,a,b\n"x\ny",1,2\n3,zz,4\n'
+        with pytest.raises(ParseError, match="line 4: invalid number 'zz' for column a"):
+            parse_paired(text)
+        assert parse_paired(text.replace("zz", "5") + "4,1,1\n").subject_ids == ("x\ny", "3", "4")
+
     def test_byte_order_mark_ignored(self):
         sample = parse_paired("\ufeff" + PAIRED_OK)
         assert sample.subject_ids == ("1", "2", "3")
@@ -113,17 +126,25 @@ class TestParsePaired:
         assert again.subject_ids == sample.subject_ids
         assert write_paired(again) == text
 
+    def test_ids_with_line_feeds_round_trip(self):
+        ids = ("x\ny", "a\n\nb", "c\r\nd")
+        sample = PairedSample(a=[1.0, 2.0, 3.0], b=[1.5, 2.5, 3.5], subject_ids=ids)
+        again = parse_paired(write_paired(sample))
+        assert again.subject_ids == ids
+        assert write_paired(again) == write_paired(sample)
+
+
 
 class TestParseReplicated:
     def test_valid_file(self):
         reps = parse_replicated(REPLICATED_OK)
         assert reps.subjects == ("s1", "s2")
-        np.testing.assert_allclose(reps.values("s1", "A"), [100, 104])
+        np.testing.assert_allclose(group_values(reps, "s1", "A"), [100, 104])
 
     def test_byte_order_mark_ignored(self):
         reps = parse_replicated("\ufeff" + REPLICATED_OK)
         assert reps.subjects == ("s1", "s2")
-        np.testing.assert_array_equal(reps.values("s2", "B"), [121, 125])
+        np.testing.assert_array_equal(group_values(reps, "s2", "B"), [121, 125])
         with pytest.raises(ParseError, match="line 3: invalid number"):
             parse_replicated("\ufeffsubject,method,replicate,value\ns1,A,1,100\ns1,A,2,oops\n")
 
@@ -191,7 +212,7 @@ class TestReplicatedErrorLines:
         text = blank + "subject,method,replicate,value\n" + rows
         reps = parse_replicated(text)
         assert len(reps.subjects) == CHUNK_LINES
-        np.testing.assert_array_equal(reps.values(f"s{CHUNK_LINES - 1}", "B"),
+        np.testing.assert_array_equal(group_values(reps, f"s{CHUNK_LINES - 1}", "B"),
                                       [CHUNK_LINES - 1] * 2)
         bad_line = CHUNK_LINES + 6 + 3 * CHUNK_LINES + 2
         lines = text.splitlines()
@@ -205,7 +226,8 @@ class TestReplicatedErrorLines:
 
     def test_bulk_values_equal_row_parsing(self):
         reps = parse_replicated(self.HEAD + "s1,B,1, 0.1 \ns1,B, 2 ,1e-3\n")
-        np.testing.assert_array_equal(reps.values("s1", "B"), [float("0.1"), float("1e-3")])
+        np.testing.assert_array_equal(group_values(reps, "s1", "B"),
+                                      [float("0.1"), float("1e-3")])
         np.testing.assert_array_equal(reps.replicate, [1, 2, 1, 2])
 
 
@@ -229,14 +251,23 @@ class TestUnterminatedQuote:
 
 
 def _reference_chunks(text: str, header: list[str]):
-    """The tokenizer as the csv module alone gives it: csv rows, then blank rows
+    """The tokenizer as the csv module alone gives it: csv records of the lines
+    with their breaks, each numbered by the line it starts on, then blank rows
     dropped by joining and stripping each row, then rows transposed to columns."""
-    lines = text.removeprefix("\ufeff").splitlines()
-    reader, start, header_line = csv.reader(lines), 1, None
-    while rows := list(islice(reader, methodagree_io._CHUNK_LINES)):
-        linenos = [i for i, line in enumerate(map(str.strip, map("".join, rows)), start) if line]
-        data = [rows[i - start] for i in linenos]
-        start += len(rows)
+    reader, header_line = csv.reader(text.removeprefix("\ufeff").splitlines(keepends=True)), None
+
+    def numbered():
+        while True:
+            start = reader.line_num + 1
+            try:
+                yield start, next(reader)
+            except StopIteration:
+                return
+
+    records = numbered()
+    while chunk := list(islice(records, methodagree_io._CHUNK_LINES)):
+        kept = [(n, row) for n, row in chunk if "".join(row).strip()]
+        linenos, data = [n for n, _ in kept], [row for _, row in kept]
         if header_line is None and linenos:
             header_line, first = linenos.pop(0), [f.strip() for f in data.pop(0)]
             if [f.lower() for f in first] != header:
@@ -425,8 +456,10 @@ class TestReportLayout:
         text = emit_report(result)
         assert text == _reference_report(result)
         back = parse_report(text)
-        assert np.array_equal(back.points, result.points)
-        assert np.array_equal(np.signbit(back.points), np.signbit(result.points))
+        for got, want in ((back.axis_values, result.axis_values),
+                          (back.differences, result.differences)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestRounding:
@@ -483,7 +516,7 @@ def _tick_mapping(svg: str, axis: str):
     return to_data
 
 
-def _reference_circles(result: AgreementResult, include_trend: bool) -> list[str]:
+def _reference_circles(result: AgreementResult) -> list[str]:
     """Scatter points as a per-point loop of scalar sx/sy closures draws them."""
     xs, ds, fit = result.axis_values, result.differences, result.fit
 
@@ -492,8 +525,7 @@ def _reference_circles(result: AgreementResult, include_trend: bool) -> list[str
         return lo - pad, hi + pad
 
     x_data_lo, x_data_hi = float(xs.min()), float(xs.max())
-    trend_ys = ([fit.intercept + fit.slope * x_data_lo, fit.intercept + fit.slope * x_data_hi]
-                if include_trend else [])
+    trend_ys = [fit.intercept + fit.slope * x_data_lo, fit.intercept + fit.slope * x_data_hi]
     y_candidates = [float(ds.min()), float(ds.max()), result.loa_low, result.loa_high,
                     result.bias, *trend_ys]
     x_lo, x_hi = data_range(x_data_lo, x_data_hi)
@@ -522,15 +554,14 @@ def _scaled_result(scale: float, offset: float, axis: str) -> AgreementResult:
 
 
 class TestPlotPoints:
-    @pytest.mark.parametrize("include_trend", [True, False])
     @pytest.mark.parametrize("axis", ["mean", "weighted"])
     @pytest.mark.parametrize("scale, offset", [(1e-300, 0.0), (1e300, 0.0), (1.0, 1e8),
                                                (1.0, 0.0)])
-    def test_equal_to_per_point_loop(self, scale, offset, axis, include_trend):
+    def test_equal_to_per_point_loop(self, scale, offset, axis):
         result = _scaled_result(scale, offset, axis)
-        svg = render_plot_svg(result, include_trend=include_trend)
+        svg = render_plot_svg(result)
         circles = [line for line in svg.splitlines() if line.startswith("<circle")]
-        assert circles == _reference_circles(result, include_trend)
+        assert circles == _reference_circles(result)
 
     @staticmethod
     def _assert_pixels_in_box(result: AgreementResult) -> None:
@@ -581,10 +612,6 @@ class TestPlots:
         assert svg.count('class="pt"') == res.n
         assert svg.startswith("<?xml")
         assert svg.rstrip().endswith("</svg>")
-
-    def test_trend_can_be_disabled(self):
-        res = analyze(generate(preset_config("c", seed=2)))
-        assert 'class="trend"' not in render_plot_svg(res, include_trend=False)
 
     def test_deterministic_bytes(self, tmp_path):
         res = analyze(generate(preset_config("b", seed=3)))
