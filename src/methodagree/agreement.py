@@ -274,10 +274,8 @@ def predicted_covariance(
     vanish, which is exactly the weighted-axis construction. With alpha = 0
     the axis collapses to method B and the value becomes -s_wb2.
     """
-    direction = _coerce(Direction, direction)
-    alpha, beta = _unit_scaled(w)
-    value = (alpha * v.s_wa2 - beta * v.s_wb2) / (alpha + beta)
-    return value if direction is Direction.A_MINUS_B else -value
+    value = general_covariance_identity(w, v.s_wa2, v.s_wb2, 0.0)
+    return value if _coerce(Direction, direction) is Direction.A_MINUS_B else -value
 
 
 def general_covariance_identity(

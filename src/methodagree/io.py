@@ -17,11 +17,10 @@ import csv
 import json
 import math
 import sys
-from contextlib import suppress
 from dataclasses import asdict
 from decimal import ROUND_HALF_UP, Decimal
 from io import StringIO
-from itertools import chain, compress, islice, repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +50,8 @@ __all__ = [
 
 REPORT_FORMAT = "methodagree.report"
 REPORT_VERSION = 1
-#: Lines per chunk: bounds the memory held at once by one chunk's lines, its
-#: fields and columns, or the csv module's row lists where that module reads it.
+#: Lines per chunk: bounds the memory held at once by one chunk's fields and
+#: columns, or by the rows of one chunk where the csv module reads the text.
 _CHUNK_LINES = 4096
 
 
@@ -60,87 +59,69 @@ class ParseError(ValueError):
     """Malformed input file; the message names the offending line."""
 
 
-def _csv_chunks(lines: list[str]):
-    """Per chunk of at most ``_CHUNK_LINES`` csv records of ``lines``: the line
-    each record starts on, and the records.
+def _rows(text: str, header: list[str]):
+    """Yield the line number and stripped fields of each non-blank data row.
 
-    A chunk whose records span more lines than they count (a quoted field holds
-    a line break), or that raises a csv error (such as the field-size limit an
-    unterminated quote runs into), is read again record by record to number its
-    records; an error then becomes a :class:`ParseError` naming that line.
+    The only reader that numbers lines: one ``csv.reader`` over the lines with
+    their breaks, so a quoted field may span lines and keeps them. A record is
+    numbered by the line it starts on. A csv error, a wrong header (matched
+    without regard to case), a wrong field count or empty input raises a
+    :class:`ParseError` naming that line.
     """
-    reader = csv.reader(lines)
-    while True:
-        done, rows = reader.line_num, None
-        with suppress(csv.Error):  # the chunk is read again below
-            rows = list(islice(reader, _CHUNK_LINES))
-        if rows == []:
-            return
-        if rows and reader.line_num - done == len(rows):
-            yield range(done + 1, reader.line_num + 1), rows
-            continue
-        again, linenos = csv.reader(lines[done:]), []
-        for _ in rows or range(_CHUNK_LINES):
-            linenos.append(done + again.line_num + 1)
-            try:
-                next(again)
-            except csv.Error as exc:
-                raise ParseError(f"line {linenos[-1]}: {exc}") from None
-        yield linenos, rows
-
-
-def _check_header(first: list[str], header: list[str], lineno: int) -> None:
-    first = [f.strip() for f in first]
-    if [f.lower() for f in first] != header:
-        raise ParseError(f"line {lineno}: expected header {','.join(header)!r}, "
-                         f"got {','.join(first)!r}")
-
-
-def _chunks(text: str, header: list[str]):
-    """Per chunk: the line numbers and stripped columns of non-blank data rows.
-
-    A row is numbered by the line its record starts on. Without a ``"`` the
-    csv module's default dialect splits a line at every comma and nowhere
-    else, so quote-free text is split with ``str.split``: in one pass for a
-    chunk whose lines all have one comma fewer than ``header`` has fields,
-    line by line otherwise. Text with quotes goes through ``csv.reader``, fed
-    lines with their breaks, so a quoted field may span lines and keeps them.
-    """
-    width, quoted = len(header), '"' in text
-    text = text.removeprefix("\ufeff")  # a byte-order mark is not data
-    if quoted:
-        chunks = _csv_chunks(text.splitlines(keepends=True))
-    else:
-        lines = text.splitlines()
-        chunks = ((range(i + 1, min(i + _CHUNK_LINES, len(lines)) + 1), lines[i:i + _CHUNK_LINES])
-                  for i in range(0, len(lines), _CHUNK_LINES))
-    header_line = None
-    for linenos, chunk in chunks:
-        # an empty line, the usual blank row, fails the comma count at once
-        if (not quoted and "" not in chunk
-                and set(map(str.count, chunk, repeat(","))) == {width - 1}):
-            fields = ",".join(chunk).split(",")
-        else:
-            rows = chunk if quoted else [line.split(",") for line in chunk]
-            keep = list(map(str.strip, map("".join, rows)))  # empty, so false, for a blank row
-            linenos, rows = list(compress(linenos, keep)), list(compress(rows, keep))
-            if set(map(len, rows)) - {width}:
-                if header_line is None:  # a header of the wrong width fails as a header
-                    _check_header(rows[0], header, linenos[0])
-                lineno, row = next((n, r) for n, r in zip(linenos, rows) if len(r) != width)
+    reader = csv.reader(text.removeprefix("\ufeff").splitlines(keepends=True))
+    width, seen_header, done = len(header), False, 0
+    try:
+        for row in reader:
+            lineno, done = done + 1, reader.line_num
+            row = [field.strip() for field in row]
+            if not any(row):  # a blank row, such as ` , , `
+                continue
+            if not seen_header:
+                if [field.lower() for field in row] != header:
+                    raise ParseError(f"line {lineno}: expected header {','.join(header)!r}, "
+                                     f"got {','.join(row)!r}")
+                seen_header = True
+            elif len(row) != width:
                 raise ParseError(f"line {lineno}: expected {width} fields, got {len(row)}")
-            fields = list(chain.from_iterable(rows))
+            else:
+                yield lineno, row
+    except csv.Error as exc:
+        raise ParseError(f"line {done + 1}: {exc}") from None
+    if not seen_header:
+        raise ParseError("empty input")
+
+
+def _columns(text: str, header: list[str]):
+    """Yield the stripped columns of the data rows, at most ``_CHUNK_LINES`` rows at a time.
+
+    Numbers nothing: a caller that needs the line of an error reads the text
+    again with :func:`_rows`. The csv module's default dialect splits a line
+    without ``"`` at every comma and nowhere else, so text without quotes whose
+    first non-empty line is the header and whose non-empty lines all have one
+    comma fewer than ``header`` has fields is split in one pass per chunk. Any
+    other text is read by :func:`_rows`. Yields at least one chunk, so that a
+    file with only a header reaches the sample's own checks.
+    """
+    width = len(header)
+    lines = list(filter(None, text.removeprefix("\ufeff").splitlines()))
+    if ('"' in text or not lines or [f.strip().lower() for f in lines[0].split(",")] != header
+            or set(map(str.count, lines, repeat(","))) != {width - 1}):
+        del lines  # _rows splits the text again
+        rows = (row for _, row in _rows(text, header))
+        chunk = list(islice(rows, _CHUNK_LINES))
+        while True:
+            yield list(zip(*chunk)) or [[] for _ in header]
+            if not (chunk := list(islice(rows, _CHUNK_LINES))):
+                return
+    for start in range(0, len(lines), _CHUNK_LINES):
+        fields = ",".join(lines[start:start + _CHUNK_LINES]).split(",")
         columns = [list(map(str.strip, fields[k::width])) for k in range(width)]
+        if not start:  # the header
+            columns = [column[1:] for column in columns]
         if "" in columns[0]:  # only a row whose first field is empty can be blank
             keep = [i for i, row in enumerate(zip(*columns)) if any(row)]
-            linenos, columns = [linenos[i] for i in keep], [[c[i] for i in keep] for c in columns]
-        if header_line is None and linenos:
-            header_line = linenos[0]
-            _check_header([c[0] for c in columns], header, header_line)
-            linenos, columns = linenos[1:], [c[1:] for c in columns]
-        yield linenos, columns
-    if header_line is None:
-        raise ParseError("empty input")
+            columns = [[column[i] for i in keep] for column in columns]
+        yield columns
 
 
 def _parse_float(raw: str, lineno: int, column: str) -> float:
@@ -157,7 +138,7 @@ def parse_paired(text: str) -> PairedSample:
     """Parse a ``subject,a,b`` CSV into a :class:`PairedSample`."""
     header, subjects, a_parts, b_parts = ["subject", "a", "b"], [], [], []
     try:
-        for _, (chunk_subjects, raw_a, raw_b) in _chunks(text, header):
+        for chunk_subjects, raw_a, raw_b in _columns(text, header):
             subjects += chunk_subjects
             a_parts.append(np.array(raw_a, dtype=float))
             b_parts.append(np.array(raw_b, dtype=float))
@@ -166,13 +147,12 @@ def parse_paired(text: str) -> PairedSample:
     except ValueError as exc:
         problem = exc
     seen: set[str] = set()
-    for linenos, (chunk_subjects, raw_a, raw_b) in _chunks(text, header):
-        for lineno, subject, a, b in zip(linenos, chunk_subjects, raw_a, raw_b):
-            if subject in seen:
-                raise ParseError(f"line {lineno}: duplicate subject id {subject!r}")
-            seen.add(subject)
-            _parse_float(a, lineno, "a")
-            _parse_float(b, lineno, "b")
+    for lineno, (subject, a, b) in _rows(text, header):
+        if subject in seen:
+            raise ParseError(f"line {lineno}: duplicate subject id {subject!r}")
+        seen.add(subject)
+        _parse_float(a, lineno, "a")
+        _parse_float(b, lineno, "b")
     raise ParseError(f"invalid paired data: {problem}")
 
 
@@ -185,7 +165,7 @@ def parse_replicated(text: str) -> ReplicatedSample:
     header = ["subject", "method", "replicate", "value"]
     subjects, methods, reps, values = [], [], [], []
     try:
-        for _, (chunk_subjects, chunk_methods, raw_reps, raw_values) in _chunks(text, header):
+        for chunk_subjects, chunk_methods, raw_reps, raw_values in _columns(text, header):
             subjects += map(sys.intern, chunk_subjects)
             methods += map(sys.intern, chunk_methods)
             reps.append(np.array(raw_reps, dtype=np.int64))
@@ -194,19 +174,18 @@ def parse_replicated(text: str) -> ReplicatedSample:
     except (ValueError, OverflowError) as exc:
         problem = exc
     seen: set[tuple[str, str, int]] = set()
-    for linenos, columns in _chunks(text, header):
-        for lineno, subject, method, rep, raw in zip(linenos, *columns):
-            if method not in ("A", "B"):
-                raise ParseError(f"line {lineno}: method must be 'A' or 'B', got {method!r}")
-            try:
-                index = np.int64(rep)
-            except (ValueError, OverflowError):
-                raise ParseError(f"line {lineno}: invalid replicate index {rep!r}") from None
-            _parse_float(raw, lineno, "value")
-            if (subject, method, index) in seen:
-                raise ParseError(f"line {lineno}: duplicate replicate {index} for subject "
-                                 f"{subject!r}, method {method}")
-            seen.add((subject, method, index))
+    for lineno, (subject, method, rep, raw) in _rows(text, header):
+        if method not in ("A", "B"):
+            raise ParseError(f"line {lineno}: method must be 'A' or 'B', got {method!r}")
+        try:
+            index = np.int64(rep)
+        except (ValueError, OverflowError):
+            raise ParseError(f"line {lineno}: invalid replicate index {rep!r}") from None
+        _parse_float(raw, lineno, "value")
+        if (subject, method, index) in seen:
+            raise ParseError(f"line {lineno}: duplicate replicate {index} for subject "
+                             f"{subject!r}, method {method}")
+        seen.add((subject, method, index))
     raise ParseError(f"invalid replicated data: {problem}")
 
 
@@ -286,6 +265,14 @@ def parse_report(text: str) -> AgreementResult:
                          f"expected {REPORT_VERSION}")
     try:
         fit = RegressionFit(**payload["fit"])
+        numbers = {f"fit.{name}": value for name, value in asdict(fit).items() if name != "df"}
+        numbers.update((name, payload[name]) for name in ("bias", "loa_low", "loa_high"))
+        for name, value in numbers.items():
+            # JSON numbers only, and no NaN, infinity or int beyond the largest double
+            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if type(fit.df) is not int or fit.df < 1:
+            raise ValueError(f"fit.df must be a positive integer, got {fit.df!r}")
         weights = payload["weights"]
         points = np.asarray(payload["points"], dtype=float)
         if points.ndim != 2 or points.shape[1] != 2 or not np.isfinite(points).all():

@@ -27,6 +27,7 @@ from .agreement import (
     WithinSubjectVariance,
     _coerce,
     _require_finite,
+    _unit_scaled,
     analyze,
     general_covariance_identity,
 )
@@ -167,14 +168,14 @@ def closed_form_moments(
     var_a = config.k_a**2 * sc2 + config.s_a**2
     var_b = config.k_b**2 * sc2 + config.s_b**2
     cov_ab = config.k_a * config.k_b * sc2
+    alpha, beta = _unit_scaled(w)
 
     cov = general_covariance_identity(w, var_a, var_b, cov_ab)
     if direction is Direction.B_MINUS_A:
         cov = -cov
     var_diff = (config.k_a - config.k_b) ** 2 * sc2 + config.s_a**2 + config.s_b**2
-    var_axis = (
-        w.alpha**2 * var_a + w.beta**2 * var_b + 2.0 * w.alpha * w.beta * cov_ab
-    ) / (w.alpha + w.beta) ** 2
+    var_axis = (alpha**2 * var_a + beta**2 * var_b
+                + 2.0 * alpha * beta * cov_ab) / (alpha + beta) ** 2
 
     if var_diff > 0.0 and var_axis > 0.0:
         r = cov / np.sqrt(var_diff * var_axis)
@@ -214,6 +215,7 @@ def monte_carlo_covariance(
 
     n = config.n
     sign = 1.0 if direction is Direction.A_MINUS_B else -1.0
+    alpha, beta = _unit_scaled(w)
     children = np.random.SeedSequence(config.seed).spawn(trials)
     block = np.empty((max(1, _MC_BLOCK_DOUBLES // (3 * n)), n, 3))
     covs = np.empty(trials)
@@ -224,7 +226,7 @@ def monte_carlo_covariance(
             np.random.default_rng(child).random(out=out)
         a, b = _measurements(config, _to_normals(u))
         d = sign * (a - b)
-        axis = (w.alpha * a + w.beta * b) / (w.alpha + w.beta)
+        axis = (alpha * a + beta * b) / (alpha + beta)
         d -= d.mean(axis=1, keepdims=True)
         axis -= axis.mean(axis=1, keepdims=True)
         covs[start : start + len(chunk)] = np.einsum("ij,ij->i", d, axis) / (n - 1)

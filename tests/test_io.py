@@ -87,6 +87,11 @@ class TestParsePaired:
         with pytest.raises(ParseError, match="empty"):
             parse_paired("")
 
+    @pytest.mark.parametrize("text", ["subject,a,b\n", "\n , , \nSubject,A,B", '"subject",a,b\n'])
+    def test_header_only_reaches_the_sample_check(self, text):
+        with pytest.raises(ParseError, match="invalid paired data: need at least 3 subjects, got 0"):
+            parse_paired(text)
+
     @pytest.mark.parametrize("row, message", [
         ("3,99,x", "line 6: invalid number 'x' for column b"),
         ("3,inf,99", "line 6: non-finite value for column a"),
@@ -103,6 +108,14 @@ class TestParsePaired:
         with pytest.raises(ParseError, match="line 4: invalid number 'zz' for column a"):
             parse_paired(text)
         assert parse_paired(text.replace("zz", "5") + "4,1,1\n").subject_ids == ("x\ny", "3", "4")
+
+    def test_first_bad_row_in_file_order_wins(self):
+        with pytest.raises(ParseError, match="line 2: invalid number 'x' for column a"):
+            parse_paired("subject,a,b\n1,x,2\n2,3\n3,4,5\n")
+
+    def test_duplicate_before_quoted_short_row_wins(self):
+        with pytest.raises(ParseError, match="line 3: duplicate subject id '1'"):
+            parse_paired('subject,a,b\n1,1,2\n1,3,4\n"2",5\n4,6,7\n')
 
     def test_byte_order_mark_ignored(self):
         sample = parse_paired("\ufeff" + PAIRED_OK)
@@ -156,6 +169,12 @@ class TestParseReplicated:
         with pytest.raises(ParseError, match="at least 2"):
             parse_replicated(text)
 
+    @pytest.mark.parametrize("text", ["subject,method,replicate,value\n",
+                                      '\n"subject",method,replicate,value\n,,,\n'])
+    def test_header_only_reaches_the_sample_check(self, text):
+        with pytest.raises(ParseError, match="invalid replicated data: no replicate records"):
+            parse_replicated(text)
+
     def test_bad_method_label(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_replicated("subject,method,replicate,value\ns1,X,1,100\n")
@@ -191,6 +210,11 @@ class TestReplicatedErrorLines:
     def test_first_bad_row_wins(self):
         text = self.HEAD + "s1,B,1,98\ns1,X,2,95\ns1,B,3,nan\n"
         with pytest.raises(ParseError, match="line 8: method must be"):
+            parse_replicated(text)
+
+    def test_bad_label_before_short_row_wins(self):
+        text = "subject,method,replicate,value\ns1,A,1,100\ns1,C,2,104\ns1,B\ns1,B,2,95\n"
+        with pytest.raises(ParseError, match="line 3: method must be 'A' or 'B', got 'C'"):
             parse_replicated(text)
 
     def test_duplicate_replicate_names_second_line(self):
@@ -294,6 +318,18 @@ def _tokens(chunks, text: str, header: list[str]):
     return linenos, columns
 
 
+def _row_chunks(text: str, header: list[str]):
+    """``io._rows`` as one-row chunks of (line numbers, columns)."""
+    for lineno, row in methodagree_io._rows(text, header):
+        yield [lineno], [[field] for field in row]
+
+
+def _column_chunks(text: str, header: list[str]):
+    """``io._columns``, which numbers no lines, as chunks of (line numbers, columns)."""
+    for columns in methodagree_io._columns(text, header):
+        yield [], columns
+
+
 _FIELDS = ["", " ", "\t", "s1", " S2 ", "A", "B", "1", " 2.5", "-3e4 ", "x y"]
 _QUOTED = ['"', '""', '"q,1"', '"a""b"', ' "c" ', '"\r\n"', '"d\ne"']
 
@@ -327,8 +363,10 @@ class TestTokenizer:
         header, text = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(methodagree_io, "_CHUNK_LINES", chunk_lines)
-            assert (_tokens(methodagree_io._chunks, text, header)
-                    == _tokens(_reference_chunks, text, header))
+            want = _tokens(_reference_chunks, text, header)
+            assert _tokens(_row_chunks, text, header) == want
+            got = _tokens(_column_chunks, text, header)
+            assert isinstance(got, str) if isinstance(want, str) else got == ([], want[1])
 
 
 class TestReports:
@@ -384,6 +422,30 @@ class TestReports:
     def test_rejects_other_version(self):
         with pytest.raises(ParseError, match="unsupported report version 99; expected 1"):
             parse_report(self._edited(version=99))
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"fit": {"slope": "x"}}, "fit.slope must be a finite number, got 'x'"),
+        ({"fit": {"r": None}}, "fit.r must be a finite number, got None"),
+        ({"fit": {"intercept": True}}, "fit.intercept must be a finite number, got True"),
+        ({"fit": {"slope": float("nan")}}, "fit.slope must be a finite number, got nan"),
+        ({"fit": {"p_value": 10**400}}, "fit.p_value must be a finite number"),
+        ({"fit": {"df": 1.5}}, "fit.df must be a positive integer, got 1.5"),
+        ({"fit": {"df": 0}}, "fit.df must be a positive integer, got 0"),
+        ({"fit": {"df": True}}, "fit.df must be a positive integer, got True"),
+        ({"bias": "1.5"}, "bias must be a finite number, got '1.5'"),
+        ({"loa_low": float("-inf")}, "loa_low must be a finite number, got -inf"),
+        ({"loa_high": [2.0]}, "loa_high must be a finite number, got [2.0]"),
+    ])
+    def test_rejects_malformed_numbers(self, fields, message):
+        payload = json.loads(self._edited())
+        payload.update({**fields, "fit": {**payload["fit"], **fields.get("fit", {})}})
+        with pytest.raises(ParseError, match="malformed report document: " + re.escape(message)):
+            parse_report(json.dumps(payload))
+
+    def test_integral_numbers_are_numbers(self):
+        payload = json.loads(self._edited(bias=2))
+        payload["fit"]["slope"] = 0
+        assert parse_report(json.dumps(payload)).bias == 2.0
 
     FOUR_POINTS = [[1.0, 0.5], [2.0, -0.5], [3.0, 1.5], [4.0, 0.0]]
 

@@ -182,6 +182,14 @@ class TestClosedFormMoments:
         assert ab.slope == pytest.approx(-ba.slope)
         assert ab.var_diff == ba.var_diff
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e160, 2.0**-1000, 2.0**1000])
+    def test_extreme_weights_keep_their_ratio(self, scale):
+        config = preset_config("c")
+        got = closed_form_moments(config, WeightPair(3.0 * scale, scale))
+        want = closed_form_moments(config, WeightPair(3.0, 1.0))
+        for name in ("cov", "var_diff", "var_axis", "r", "slope"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-14)
+
     def test_analyze_matches_closed_form_everywhere(self):
         for label in CASE_PRESETS:
             config = preset_config(label, seed=11)
@@ -265,6 +273,14 @@ class TestMonteCarlo:
         out1 = monte_carlo_covariance(config, mean_weights(), 10)
         out2 = monte_carlo_covariance(config, mean_weights(), 10)
         assert out1 == out2
+
+    @pytest.mark.parametrize("w", [WeightPair(5e-324, 0.0), WeightPair(2.0**1020, 2.0**1018),
+                                   WeightPair(2.0**-1070, 2.0**-1072)])
+    def test_extreme_weights_keep_their_ratio(self, w):
+        # weights a power of two apart give the same axis, bit for bit
+        config = preset_config("c", exact_moments=False, seed=3)
+        want = WeightPair(1.0, 0.0) if w.beta == 0.0 else WeightPair(4.0, 1.0)
+        assert monte_carlo_covariance(config, w, 50) == monte_carlo_covariance(config, want, 50)
 
     def test_inverse_variance_weights_center_on_zero(self):
         config = preset_config("c", n=4000, seed=5, exact_moments=False)
