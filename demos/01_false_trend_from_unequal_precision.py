@@ -13,7 +13,7 @@ Writes SVG plots to demos/output/.
 from pathlib import Path
 
 from methodagree import WithinSubjectVariance, analyze, generate, preset_config
-from methodagree.io import emit_plot
+from methodagree.io import render_plot_svg
 
 out_dir = Path(__file__).parent / "output"
 out_dir.mkdir(exist_ok=True)
@@ -42,6 +42,7 @@ print(f"  trend slope k = {round(weighted.fit.slope, 12) + 0.0:.4f} "
       f"({weighted.fit.ci_low:.4f}, {weighted.fit.ci_high:.4f})")
 print("  -> the artifact is gone")
 
-emit_plot(classic, out_dir / "unequal_precision_mean_axis.svg")
-emit_plot(weighted, out_dir / "unequal_precision_weighted_axis.svg")
+for name, result in (("mean", classic), ("weighted", weighted)):
+    (out_dir / f"unequal_precision_{name}_axis.svg").write_text(
+        render_plot_svg(result), encoding="utf-8", newline="")
 print(f"\nplots written to {out_dir}/")

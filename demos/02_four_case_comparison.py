@@ -17,7 +17,7 @@ Run:  python demos/02_four_case_comparison.py
 from methodagree import preset_results
 from methodagree.io import format_table
 
-entries = preset_results(n=100, sigma_c=10.0, seed=1)
+entries = preset_results()
 print(format_table(entries))
 
 print("reading guide:")

@@ -57,8 +57,9 @@ for name, res in (("classic", classic), ("weighted", weighted)):
     print(f"  trend k = {res.fit.slope:+.4f} "
           f"({res.fit.ci_low:+.4f}, {res.fit.ci_high:+.4f}), p = {res.fit.p_value:.3f}")
 
-emit_report(classic, out_dir / "replicates_mean_report.json")
-emit_report(weighted, out_dir / "replicates_weighted_report.json")
+for name, result in (("mean", classic), ("weighted", weighted)):
+    (out_dir / f"replicates_{name}_report.json").write_text(
+        emit_report(result), encoding="utf-8", newline="")
 print(f"\nreports written to {out_dir}/")
 print("(the same workflow on the command line: "
       "methodagree analyze --replicates reps.csv)")

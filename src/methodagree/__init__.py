@@ -23,7 +23,6 @@ from .agreement import (
     paired_from_replicates,
     predicted_covariance,
     weighted_average,
-    within_subject_variance,
 )
 from .numerics import (
     DegenerateDataError,
@@ -76,5 +75,4 @@ __all__ = [
     "student_t_cdf",
     "student_t_quantile",
     "weighted_average",
-    "within_subject_variance",
 ]

@@ -28,7 +28,6 @@ __all__ = [
     "WeightPair",
     "AgreementResult",
     "LOA_MULTIPLIER",
-    "within_subject_variance",
     "estimate_variances",
     "paired_from_replicates",
     "weighted_average",
@@ -215,19 +214,11 @@ class AgreementResult:
         return self.axis_values.size
 
 
-def within_subject_variance(reps: ReplicatedSample, method: str) -> float:
-    """Pooled within-subject variance of one method.
-
-    Per-subject squared deviations from the subject's own replicate mean are
-    summed and divided by the pooled degrees of freedom sum(m_i - 1).
-    """
-    if method not in METHOD_LABELS:
-        raise ValueError(f"unknown method label {method!r}; expected one of {METHOD_LABELS}")
-    return reps._s_w2[method]
-
-
 def estimate_variances(reps: ReplicatedSample) -> WithinSubjectVariance:
-    """Pooled within-subject variances for both methods."""
+    """Pooled within-subject variances for both methods.
+
+    Per method, the summed squared deviations from each subject's replicate mean over sum(m_i - 1).
+    """
     return WithinSubjectVariance(s_wa2=reps._s_w2["A"], s_wb2=reps._s_w2["B"])
 
 

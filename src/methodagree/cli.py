@@ -4,7 +4,7 @@ Subcommands: ``analyze`` (paired or replicated CSV in, stats out),
 ``simulate`` (write one synthetic case's data, reports and plots),
 ``table1`` (the four canonical cases side by side), ``predict-cov``
 (closed-form covariance between difference and weighted average) and
-``replicate-variance`` (pooled within-subject variances).
+``replicate-variance`` (pooled within-subject variances). Only this module opens files.
 
 Exit codes: 0 success, 2 usage or validation problem, 3 numerical
 degeneracy (rank-deficient draw, constant axis).
@@ -28,11 +28,11 @@ from .agreement import (
 )
 from .io import (
     ParseError,
-    emit_plot,
     emit_report,
     format_table,
     parse_paired,
     parse_replicated,
+    render_plot_svg,
     write_paired,
 )
 from .numerics import DegenerateDataError
@@ -48,6 +48,10 @@ def _bool_flag(raw: str) -> bool:
     if lowered in ("false", "0", "no", "off"):
         return False
     raise argparse.ArgumentTypeError(f"expected true or false, got {raw!r}")
+
+
+def _write(path, text: str) -> None:
+    Path(path).write_text(text, encoding="utf-8", newline="")
 
 
 def _print_result(result) -> None:
@@ -113,9 +117,9 @@ def _cmd_analyze(args) -> int:
     )
     _print_result(result)
     if args.report is not None:
-        emit_report(result, args.report)
+        _write(args.report, emit_report(result))
     if args.plot is not None:
-        emit_plot(result, args.plot)
+        _write(args.plot, render_plot_svg(result))
     return 0
 
 
@@ -130,10 +134,7 @@ def _cmd_simulate(args) -> int:
     sample = generate(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    with (out / "pairs.csv").open("w", encoding="utf-8", newline="") as fh:
-        fh.write(write_paired(sample))
-
+    _write(out / "pairs.csv", write_paired(sample))
     variances = config.error_variances()
     classic = analyze(sample, axis=AxisKind.ARITHMETIC_MEAN, direction=args.direction)
     weighted = analyze(
@@ -142,17 +143,16 @@ def _cmd_simulate(args) -> int:
         direction=args.direction,
         variances=variances,
     )
-    emit_report(classic, out / "report_mean.json")
-    emit_report(weighted, out / "report_weighted.json")
-    emit_plot(classic, out / "plot_mean.svg")
-    emit_plot(weighted, out / "plot_weighted.svg")
+    _write(out / "report_mean.json", emit_report(classic))
+    _write(out / "report_weighted.json", emit_report(weighted))
+    _write(out / "plot_mean.svg", render_plot_svg(classic))
+    _write(out / "plot_weighted.svg", render_plot_svg(weighted))
     print(f"case {args.case}: wrote pairs.csv, 2 reports and 2 plots to {out}")
     return 0
 
 
 def _cmd_table1(args) -> int:
-    entries = preset_results(n=100, sigma_c=10.0, seed=1)
-    print(format_table(entries), end="")
+    print(format_table(preset_results()), end="")
     return 0
 
 

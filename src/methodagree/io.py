@@ -1,5 +1,7 @@
 """Dataset ingestion, report serialization and SVG plot emission.
 
+Text in, text out: the parsers take the text of a file and the emitters
+return text, so the caller decides where it is read from and written to.
 All emitters are deterministic: the same input produces byte-identical
 output, so golden tests can assert on raw text. Reports serialize floats
 with shortest round-trip precision and parse back to equal results.
@@ -17,11 +19,10 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from decimal import ROUND_HALF_UP, Decimal
 from io import StringIO
 from itertools import islice, repeat
-from pathlib import Path
 
 import numpy as np
 
@@ -43,7 +44,6 @@ __all__ = [
     "write_paired",
     "emit_report",
     "parse_report",
-    "emit_plot",
     "render_plot_svg",
     "format_table",
 ]
@@ -205,11 +205,6 @@ def write_paired(sample: PairedSample) -> str:
     return out.getvalue()
 
 
-def _write_text(path, text: str) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
 # --- JSON reports -----------------------------------------------------------
 
 #: One (axis value, difference) row of the points block, as ``json.dumps``
@@ -217,7 +212,7 @@ def _write_text(path, text: str) -> None:
 _POINT_ROW = "    [\n      %r,\n      %r\n    ]"
 
 
-def emit_report(result: AgreementResult, path=None) -> str:
+def emit_report(result: AgreementResult) -> str:
     """Serialize an :class:`AgreementResult` to JSON text.
 
     Floats keep shortest round-trip precision, so :func:`parse_report`
@@ -225,7 +220,7 @@ def emit_report(result: AgreementResult, path=None) -> str:
     ``json.dumps(indent=2, sort_keys=True)``; the points block is formatted
     directly from the two columns in the same layout, one ``repr`` per
     number, which is the text ``json`` writes for a finite float. Points must
-    be finite. Writes to ``path`` when given.
+    be finite. The caller writes the text where it wants it.
     """
     xs = np.asarray(result.axis_values, dtype=float)
     ds = np.asarray(result.differences, dtype=float)
@@ -246,10 +241,14 @@ def emit_report(result: AgreementResult, path=None) -> str:
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     rows = ",\n".join(map(_POINT_ROW.__mod__, zip(xs.tolist(), ds.tolist())))
-    text = text.replace('"points": []', f'"points": [\n{rows}\n  ]', 1)
-    if path is not None:
-        _write_text(path, text)
-    return text
+    return text.replace('"points": []', f'"points": [\n{rows}\n  ]', 1)
+
+
+def _json_float(name: str, value) -> float:
+    # JSON numbers only, and no NaN, infinity or int beyond the largest double
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def parse_report(text: str) -> AgreementResult:
@@ -265,15 +264,17 @@ def parse_report(text: str) -> AgreementResult:
                          f"expected {REPORT_VERSION}")
     try:
         fit = RegressionFit(**payload["fit"])
-        numbers = {f"fit.{name}": value for name, value in asdict(fit).items() if name != "df"}
-        numbers.update((name, payload[name]) for name in ("bias", "loa_low", "loa_high"))
-        for name, value in numbers.items():
-            # JSON numbers only, and no NaN, infinity or int beyond the largest double
-            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        fit = replace(fit, **{name: _json_float(f"fit.{name}", value)
+                              for name, value in asdict(fit).items() if name != "df"})
         if type(fit.df) is not int or fit.df < 1:
             raise ValueError(f"fit.df must be a positive integer, got {fit.df!r}")
-        weights = payload["weights"]
+        weights, axis = payload["weights"], _coerce(AxisKind, payload["axis"])
+        if weights is not None:  # the pair's own finiteness and sign checks come first
+            pair = WeightPair(**weights)
+            weights = WeightPair(_json_float("weights.alpha", pair.alpha),
+                                 _json_float("weights.beta", pair.beta))
+        if (axis is AxisKind.WEIGHTED_AVERAGE) != (weights is not None):
+            raise ValueError(f"axis {axis.value!r} does not match weights {payload['weights']!r}")
         points = np.asarray(payload["points"], dtype=float)
         if points.ndim != 2 or points.shape[1] != 2 or not np.isfinite(points).all():
             raise ValueError("points must be an (n, 2) array of finite numbers")
@@ -281,14 +282,12 @@ def parse_report(text: str) -> AgreementResult:
             raise ValueError(f"n is {payload['n']!r} but there are {len(points)} points")
         return AgreementResult(
             direction=_coerce(Direction, payload["direction"]),
-            axis=_coerce(AxisKind, payload["axis"]),
-            weights=None if weights is None else WeightPair(**weights),
-            bias=float(payload["bias"]),
-            loa_low=float(payload["loa_low"]),
-            loa_high=float(payload["loa_high"]),
+            axis=axis,
+            weights=weights,
             fit=fit,
             axis_values=points[:, 0],
             differences=points[:, 1],
+            **{name: _json_float(name, payload[name]) for name in ("bias", "loa_low", "loa_high")},
         )
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"malformed report document: {exc}") from None
@@ -483,11 +482,3 @@ def render_plot_svg(result: AgreementResult) -> str:
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def emit_plot(result: AgreementResult, path=None) -> str:
-    """Render the difference plot, optionally writing it to ``path``."""
-    text = render_plot_svg(result)
-    if path is not None:
-        _write_text(path, text)
-    return text

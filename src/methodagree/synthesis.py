@@ -233,13 +233,8 @@ def monte_carlo_covariance(
     return float(covs.mean()), float(covs.std(ddof=1) / np.sqrt(trials))
 
 
-def preset_results(
-    *,
-    n: int = 100,
-    sigma_c: float = 10.0,
-    seed: int = 1,
-) -> list[tuple[str, AgreementResult, AgreementResult]]:
-    """Run all four canonical cases through both analyses.
+def preset_results() -> list[tuple[str, AgreementResult, AgreementResult]]:
+    """Run the four canonical cases (n = 100, sigma_c = 10.0, seed 1) through both analyses.
 
     Returns (label, mean-axis result, weighted-axis result) per case, with
     differences taken b - a, 95% slope intervals and the weighted axis built
@@ -247,7 +242,7 @@ def preset_results(
     """
     out = []
     for label in sorted(CASE_PRESETS):
-        config = preset_config(label, n=n, sigma_c=sigma_c, seed=seed)
+        config = preset_config(label)
         sample = generate(config)
         v = config.error_variances()
         classic = analyze(sample, axis=AxisKind.ARITHMETIC_MEAN)

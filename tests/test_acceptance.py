@@ -89,7 +89,7 @@ REFERENCE_TABLE = {
 def test_criterion_1_reference_table_reproduction(capsys):
     with criterion(capsys, 1, "reference table reproduction"):
         start = time.perf_counter()
-        entries = preset_results(n=100, sigma_c=10.0, seed=1)
+        entries = preset_results()
         table_text = format_table(entries)
         elapsed = time.perf_counter() - start
 

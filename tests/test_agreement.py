@@ -19,7 +19,6 @@ from methodagree.agreement import (
     paired_from_replicates,
     predicted_covariance,
     weighted_average,
-    within_subject_variance,
 )
 from methodagree.io import write_paired
 from methodagree.numerics import DegenerateDataError, covariance, variance
@@ -131,15 +130,15 @@ class TestWithinSubjectVariance:
             {
                 ("s1", "A"): [5.0, 5.0, 5.0],
                 ("s2", "A"): [7.0, 7.0],
-                ("s1", "B"): [1.0, 1.0],
+                ("s1", "B"): [1.0, 2.0],
                 ("s2", "B"): [2.0, 2.0],
             }
         )
-        assert within_subject_variance(reps, "A") == 0.0
+        assert estimate_variances(reps).s_wa2 == 0.0
 
     def test_single_subject_pair(self):
         reps = make_replicates({("s1", "A"): [1.0, 3.0], ("s1", "B"): [0.0, 0.0]})
-        assert within_subject_variance(reps, "A") == pytest.approx(2.0)
+        assert estimate_variances(reps).s_wa2 == pytest.approx(2.0)
 
     def test_pooling_two_subjects(self):
         # ((0-1)^2+(2-1)^2 + (10-12)^2+(14-12)^2) / (1+1) = (2+8)/2 = 5
@@ -151,7 +150,7 @@ class TestWithinSubjectVariance:
                 ("s2", "B"): [0.0, 0.0],
             }
         )
-        assert within_subject_variance(reps, "A") == pytest.approx(5.0)
+        assert estimate_variances(reps).s_wa2 == pytest.approx(5.0)
 
     def test_estimate_both_methods(self):
         reps = make_replicates(
@@ -178,7 +177,7 @@ class TestWithinSubjectVariance:
                     subject_truth + rng.normal(0, np.sqrt(true_var), size=3)
                 )
                 groups[(f"s{i}", "B")] = list(subject_truth + rng.normal(0, 1, size=3))
-            estimates.append(within_subject_variance(make_replicates(groups), "A"))
+            estimates.append(estimate_variances(make_replicates(groups)).s_wa2)
         estimates = np.asarray(estimates)
         se = estimates.std(ddof=1) / np.sqrt(len(estimates))
         assert abs(estimates.mean() - true_var) < 3 * se
@@ -202,7 +201,7 @@ class TestWithinSubjectVariance:
         assert reps.subjects == tuple(dict.fromkeys(row[0] for row in rows))
 
         scale = max(1.0, max(abs(row[3]) for row in rows))
-        pairs = paired_from_replicates(reps)
+        pairs, pooled = paired_from_replicates(reps), []
         for j, method in enumerate("AB"):
             ss, dof, means = 0.0, 0, []
             for subject in reps.subjects:
@@ -215,7 +214,14 @@ class TestWithinSubjectVariance:
                 dof += group.size - 1
             np.testing.assert_allclose((pairs.a, pairs.b)[j], means,
                                        rtol=1e-12, atol=1e-12 * scale)
-            np.testing.assert_allclose(within_subject_variance(reps, method), ss / dof,
+            pooled.append(ss / dof)
+        try:
+            v = estimate_variances(reps)
+        except ValueError as exc:  # rejected only when neither method varies
+            assert "degenerate weights" in str(exc)
+            np.testing.assert_allclose(pooled, 0.0, atol=1e-12 * scale**2)
+        else:
+            np.testing.assert_allclose([v.s_wa2, v.s_wb2], pooled,
                                        rtol=1e-12, atol=1e-12 * scale**2)
 
     def test_paired_from_replicates_uses_means(self):

@@ -32,12 +32,10 @@ PACKAGE = [
     "student_t_cdf",
     "student_t_quantile",
     "weighted_average",
-    "within_subject_variance",
 ]
 
 IO = [
     "ParseError",
-    "emit_plot",
     "emit_report",
     "format_table",
     "parse_paired",

@@ -1,8 +1,22 @@
 import numpy as np
 import pytest
 
+from methodagree.agreement import (
+    WithinSubjectVariance,
+    analyze,
+    estimate_variances,
+    paired_from_replicates,
+)
 from methodagree.cli import main
-from methodagree.io import parse_paired, parse_report
+from methodagree.io import (
+    emit_report,
+    parse_paired,
+    parse_replicated,
+    parse_report,
+    render_plot_svg,
+    write_paired,
+)
+from methodagree.synthesis import generate, preset_config
 
 PAIRED = "subject,a,b\n" + "".join(
     f"{i},{100 + i},{101 + i + (i % 3)}\n" for i in range(1, 13)
@@ -314,3 +328,38 @@ class TestDeterminism:
             ])
             outs.append((report.read_bytes(), plot.read_bytes()))
         assert outs[0] == outs[1]
+
+    def test_simulate_files_equal_in_process_text(self, tmp_path):
+        main(["simulate", "--case", "d", "--n", "40", "--seed", "3", "--direction", "a-b",
+              "--out", str(tmp_path)])
+        config = preset_config("d", n=40, seed=3)
+        sample = generate(config)
+        classic = analyze(sample, direction="a-b")
+        weighted = analyze(sample, axis="weighted", direction="a-b",
+                           variances=config.error_variances())
+        want = {
+            "pairs.csv": write_paired(sample),
+            "report_mean.json": emit_report(classic),
+            "report_weighted.json": emit_report(weighted),
+            "plot_mean.svg": render_plot_svg(classic),
+            "plot_weighted.svg": render_plot_svg(weighted),
+        }
+        for name, text in want.items():
+            assert (tmp_path / name).read_bytes() == text.encode("utf-8"), name
+
+    @pytest.mark.parametrize("source", ["replicated", "paired"])
+    def test_analyze_files_equal_in_process_text(self, source, paired_csv, replicated_csv,
+                                                 tmp_path):
+        if source == "replicated":
+            reps = parse_replicated(REPLICATED)
+            result = analyze(paired_from_replicates(reps), axis="weighted",
+                             variances=estimate_variances(reps))
+            flags = ["--replicates", str(replicated_csv)]
+        else:
+            result = analyze(parse_paired(PAIRED), axis="weighted",
+                             variances=WithinSubjectVariance(2.0, 4.5))
+            flags = ["--input", str(paired_csv), "--swa", "2.0", "--swb", "4.5"]
+        report, plot = tmp_path / "rep.json", tmp_path / "plot.svg"
+        assert main(["analyze", *flags, "--report", str(report), "--plot", str(plot)]) == 0
+        assert report.read_bytes() == emit_report(result).encode("utf-8")
+        assert plot.read_bytes() == render_plot_svg(result).encode("utf-8")

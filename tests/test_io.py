@@ -22,7 +22,6 @@ from methodagree.agreement import (
 from methodagree.io import _CHUNK_LINES as CHUNK_LINES
 from methodagree.io import (
     ParseError,
-    emit_plot,
     emit_report,
     format_table,
     parse_paired,
@@ -392,11 +391,6 @@ class TestReports:
         result = self._result()
         assert emit_report(result) == emit_report(result)
 
-    def test_writes_file(self, tmp_path):
-        path = tmp_path / "report.json"
-        text = emit_report(self._result(), path)
-        assert path.read_bytes().decode("utf-8") == text
-
     def test_rejects_foreign_json(self):
         with pytest.raises(ParseError, match="not a"):
             parse_report("{\"hello\": 1}")
@@ -446,6 +440,30 @@ class TestReports:
         payload = json.loads(self._edited(bias=2))
         payload["fit"]["slope"] = 0
         assert parse_report(json.dumps(payload)).bias == 2.0
+
+    def test_integral_numbers_are_stored_as_floats(self):
+        payload = json.loads(self._edited(bias=2, loa_low=-3, loa_high=7,
+                                          weights={"alpha": 1, "beta": 4}))
+        payload["fit"].update(slope=0, intercept=1, ci_low=-1, ci_high=1, r=0)
+        back = parse_report(json.dumps(payload))
+        numbers = [back.bias, back.loa_low, back.loa_high, back.weights.alpha,
+                   back.weights.beta, *(getattr(back.fit, name) for name in payload["fit"]
+                                        if name != "df")]
+        assert all(type(value) is float for value in numbers)
+        text = emit_report(back)
+        assert '"slope": 0.0' in text and '"alpha": 1.0' in text and '"bias": 2.0' in text
+
+    def test_rejects_boolean_weight(self):
+        with pytest.raises(ParseError, match="weights.beta must be a finite number, got True"):
+            parse_report(self._edited(weights={"alpha": 1.0, "beta": True}))
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"axis": "mean"}, "axis 'mean' does not match weights {'alpha': 20.25, 'beta': 0.25}"),
+        ({"weights": None}, "axis 'weighted' does not match weights None"),
+    ])
+    def test_rejects_axis_that_disagrees_with_weights(self, fields, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_report(self._edited(**fields))
 
     FOUR_POINTS = [[1.0, 0.5], [2.0, -0.5], [3.0, 1.5], [4.0, 0.0]]
 
@@ -675,12 +693,9 @@ class TestPlots:
         assert svg.startswith("<?xml")
         assert svg.rstrip().endswith("</svg>")
 
-    def test_deterministic_bytes(self, tmp_path):
+    def test_deterministic_bytes(self):
         res = analyze(generate(preset_config("b", seed=3)))
-        p1, p2 = tmp_path / "one.svg", tmp_path / "two.svg"
-        emit_plot(res, p1)
-        emit_plot(res, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        assert render_plot_svg(res) == render_plot_svg(res)
 
     def test_zero_bias_line_position(self):
         # exact-moment data has zero mean difference by construction
