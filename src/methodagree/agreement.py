@@ -42,28 +42,27 @@ LOA_MULTIPLIER = 1.96
 METHOD_LABELS = ("A", "B")
 
 
-class Direction(Enum):
+class _ParsedEnum(Enum):
+    """An enum whose constructor names the allowed values when given another."""
+
+    @classmethod
+    def _missing_(cls, value):
+        allowed = ", ".join(repr(m.value) for m in cls)
+        raise ValueError(f"expected one of {allowed}, got {value!r}")
+
+
+class Direction(_ParsedEnum):
     """Orientation of the plotted difference."""
 
     A_MINUS_B = "a-b"
     B_MINUS_A = "b-a"
 
 
-class AxisKind(Enum):
+class AxisKind(_ParsedEnum):
     """What goes on the horizontal axis."""
 
     ARITHMETIC_MEAN = "mean"
     WEIGHTED_AVERAGE = "weighted"
-
-
-def _coerce(enum_cls, value):
-    if isinstance(value, enum_cls):
-        return value
-    try:
-        return enum_cls(value)
-    except ValueError:
-        allowed = ", ".join(repr(m.value) for m in enum_cls)
-        raise ValueError(f"expected one of {allowed}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -266,7 +265,7 @@ def predicted_covariance(
     the axis collapses to method B and the value becomes -s_wb2.
     """
     value = general_covariance_identity(w, v.s_wa2, v.s_wb2, 0.0)
-    return value if _coerce(Direction, direction) is Direction.A_MINUS_B else -value
+    return value if Direction(direction) is Direction.A_MINUS_B else -value
 
 
 def general_covariance_identity(
@@ -317,8 +316,8 @@ def analyze(
         trend fit of the differences on the axis values, and the plotted
         points.
     """
-    axis = _coerce(AxisKind, axis)
-    direction = _coerce(Direction, direction)
+    axis = AxisKind(axis)
+    direction = Direction(direction)
     a, b = sample.a, sample.b
 
     if axis is AxisKind.WEIGHTED_AVERAGE and variances is None:

@@ -36,7 +36,7 @@ from .io import (
     write_paired,
 )
 from .numerics import DegenerateDataError
-from .synthesis import preset_config, preset_results, generate
+from .synthesis import CASE_PRESETS, _run_both_axes, preset_config, preset_results
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -50,11 +50,15 @@ def _bool_flag(raw: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected true or false, got {raw!r}")
 
 
+def _read(path) -> str:
+    return Path(path).read_text(encoding="utf-8")
+
+
 def _write(path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="")
 
 
-def _print_result(result) -> None:
+def _print_result(result, confidence: float) -> None:
     if result.axis is AxisKind.WEIGHTED_AVERAGE:
         w = result.weights
         axis_desc = f"weighted average (alpha={w.alpha:.6g}, beta={w.beta:.6g})"
@@ -67,7 +71,8 @@ def _print_result(result) -> None:
     print(f"bias: {result.bias:.6g}")
     print(f"loa: [{result.loa_low:.6g}, {result.loa_high:.6g}]")
     print(f"r: {fit.r:.6g}   p: {fit.p_value:.6g}")
-    print(f"k: {fit.slope:.6g}   95% CI: ({fit.ci_low:.6g}, {fit.ci_high:.6g})")
+    print(f"k: {fit.slope:.6g}   {100 * confidence:.12g}% CI: "
+          f"({fit.ci_low:.6g}, {fit.ci_high:.6g})")
 
 
 def _cmd_analyze(args) -> int:
@@ -79,43 +84,33 @@ def _cmd_analyze(args) -> int:
     if args.input is None and args.replicates is None:
         raise ValueError("provide --input (paired CSV) or --replicates (replicated CSV)")
 
-    reps = None
-    if args.replicates is not None:
-        reps = parse_replicated(Path(args.replicates).read_text(encoding="utf-8"))
+    reps = None if args.replicates is None else parse_replicated(_read(args.replicates))
+    sample = (paired_from_replicates(reps) if args.input is None
+              else parse_paired(_read(args.input)))
 
-    if args.input is not None:
-        sample = parse_paired(Path(args.input).read_text(encoding="utf-8"))
-    else:
-        sample = paired_from_replicates(reps)
-
+    variances = None
     if args.classic:
         if has_sw or (reps is not None and args.input is not None):
             print(
                 "warning: --classic ignores the supplied within-subject variances",
                 file=sys.stderr,
             )
-        axis = AxisKind.ARITHMETIC_MEAN
-        variances = None
+    elif has_sw:
+        variances = WithinSubjectVariance(s_wa2=args.swa, s_wb2=args.swb)
+    elif reps is not None:
+        variances = estimate_variances(reps)
     else:
-        if has_sw:
-            variances = WithinSubjectVariance(s_wa2=args.swa, s_wb2=args.swb)
-        elif reps is not None:
-            variances = estimate_variances(reps)
-        else:
-            raise ValueError(
-                "weighted analysis needs --replicates or --swa/--swb "
-                "(or pass --classic for the mean axis)"
-            )
-        axis = AxisKind.WEIGHTED_AVERAGE
+        raise ValueError("weighted analysis needs --replicates or --swa/--swb "
+                         "(or pass --classic for the mean axis)")
 
     result = analyze(
         sample,
-        axis=axis,
+        axis=AxisKind.ARITHMETIC_MEAN if variances is None else AxisKind.WEIGHTED_AVERAGE,
         direction=args.direction,
         confidence=args.confidence,
         variances=variances,
     )
-    _print_result(result)
+    _print_result(result, args.confidence)
     if args.report is not None:
         _write(args.report, emit_report(result))
     if args.plot is not None:
@@ -131,18 +126,10 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         exact_moments=args.exact_moments,
     )
-    sample = generate(config)
+    sample, classic, weighted = _run_both_axes(config, args.direction)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write(out / "pairs.csv", write_paired(sample))
-    variances = config.error_variances()
-    classic = analyze(sample, axis=AxisKind.ARITHMETIC_MEAN, direction=args.direction)
-    weighted = analyze(
-        sample,
-        axis=AxisKind.WEIGHTED_AVERAGE,
-        direction=args.direction,
-        variances=variances,
-    )
     _write(out / "report_mean.json", emit_report(classic))
     _write(out / "report_weighted.json", emit_report(weighted))
     _write(out / "plot_mean.svg", render_plot_svg(classic))
@@ -167,7 +154,7 @@ def _cmd_predict_cov(args) -> int:
 
 
 def _cmd_replicate_variance(args) -> int:
-    v = estimate_variances(parse_replicated(Path(args.input).read_text(encoding="utf-8")))
+    v = estimate_variances(parse_replicated(_read(args.input)))
     print(f"s_w2 A: {v.s_wa2:.12g}\ns_w2 B: {v.s_wb2:.12g}")
     return 0
 
@@ -193,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("simulate", help="generate one synthetic case")
-    p.add_argument("--case", required=True, choices=["a", "b", "c", "d"])
+    p.add_argument("--case", required=True, choices=sorted(CASE_PRESETS))
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--sigma-c", dest="sigma_c", type=float, default=10.0)

@@ -33,7 +33,6 @@ from .agreement import (
     PairedSample,
     ReplicatedSample,
     WeightPair,
-    _coerce,
 )
 from .numerics import RegressionFit, _pow2_shift
 
@@ -268,11 +267,11 @@ def parse_report(text: str) -> AgreementResult:
                               for name, value in asdict(fit).items() if name != "df"})
         if type(fit.df) is not int or fit.df < 1:
             raise ValueError(f"fit.df must be a positive integer, got {fit.df!r}")
-        weights, axis = payload["weights"], _coerce(AxisKind, payload["axis"])
-        if weights is not None:  # the pair's own finiteness and sign checks come first
-            pair = WeightPair(**weights)
-            weights = WeightPair(_json_float("weights.alpha", pair.alpha),
-                                 _json_float("weights.beta", pair.beta))
+        weights, axis = payload["weights"], AxisKind(payload["axis"])
+        if weights is not None:  # a float's finiteness and sign are the pair's own checks
+            weights = WeightPair(**{name: value if type(value) is float
+                                    else _json_float(f"weights.{name}", value)
+                                    for name, value in {**weights}.items()})
         if (axis is AxisKind.WEIGHTED_AVERAGE) != (weights is not None):
             raise ValueError(f"axis {axis.value!r} does not match weights {payload['weights']!r}")
         points = np.asarray(payload["points"], dtype=float)
@@ -281,7 +280,7 @@ def parse_report(text: str) -> AgreementResult:
         if payload["n"] != len(points):
             raise ValueError(f"n is {payload['n']!r} but there are {len(points)} points")
         return AgreementResult(
-            direction=_coerce(Direction, payload["direction"]),
+            direction=Direction(payload["direction"]),
             axis=axis,
             weights=weights,
             fit=fit,
@@ -322,19 +321,16 @@ def format_table(entries) -> str:
     from zero). p-values below 0.001 print as ``<0.001``.
     """
     k_width = 22
+
+    def columns(r: str, p: str, k: str) -> str:
+        return f"{r:<6}{p:<7}{k:<{k_width}}"
+
     header_1 = f"{'':6}{'mean axis':<{12 + k_width}}  {'weighted axis':<{12 + k_width}}"
-    header_2 = (
-        f"{'case':<6}{'r':<6}{'p':<7}{'k (95% CI)':<{k_width}}  "
-        f"{'r':<6}{'p':<7}{'k (95% CI)':<{k_width}}"
-    )
-    lines = [header_1.rstrip(), header_2.rstrip()]
+    header_2 = columns("r", "p", "k (95% CI)")
+    lines = [header_1.rstrip(), f"{'case':<6}{header_2}  {header_2}".rstrip()]
     for label, classic, weighted in entries:
-        cells = []
-        for res in (classic, weighted):
-            cells.append(
-                f"{_fmt2(res.fit.r):<6}{_fmt_p(res.fit.p_value):<7}"
-                f"{_fmt_slope(res.fit):<{k_width}}"
-            )
+        cells = [columns(_fmt2(res.fit.r), _fmt_p(res.fit.p_value), _fmt_slope(res.fit))
+                 for res in (classic, weighted)]
         lines.append(f"{label:<6}{cells[0]}  {cells[1]}".rstrip())
     return "\n".join(lines) + "\n"
 
@@ -379,6 +375,24 @@ def _pixel_map(lo: float, hi: float, p_lo: float, p_hi: float):
     return to_px
 
 
+def _line(cls: str, x1: float, y1: float, x2: float, y2: float, stroke: str,
+          width: str = "", dash: str = "") -> str:
+    """A line element with pixel coordinates; an empty ``width`` or ``dash`` is left out."""
+    width = width and f' stroke-width="{width}"'
+    dash = dash and f' stroke-dasharray="{dash}"'
+    return (f'<line class="{cls}" x1="{_px(x1)}" y1="{_px(y1)}" x2="{_px(x2)}" y2="{_px(y2)}" '
+            f'stroke="{stroke}"{width}{dash}/>')
+
+
+def _text(cls: str, x: str, y: str, anchor: str, size: int, body: str,
+          transform: str = "") -> str:
+    """A text element at formatted ``x``, ``y``; an empty ``cls`` or ``transform`` is left out."""
+    cls = cls and f'class="{cls}" '
+    transform = transform and f' transform="{transform}"'
+    return (f'<text {cls}x="{x}" y="{y}" text-anchor="{anchor}" font-family="sans-serif" '
+            f'font-size="{size}"{transform}>{body}</text>')
+
+
 def render_plot_svg(result: AgreementResult) -> str:
     """Render the difference plot as a standalone SVG document.
 
@@ -402,7 +416,7 @@ def render_plot_svg(result: AgreementResult) -> str:
 
     axis_name = "weighted average" if result.axis is AxisKind.WEIGHTED_AVERAGE else "mean"
     diff_name = result.direction.value.replace("-", " - ")
-    title = f"Difference ({diff_name}) vs {axis_name}"
+    mid_x, mid_y = _px((_PLOT_L + _PLOT_R) / 2), _px((_PLOT_T + _PLOT_B) / 2)
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -411,74 +425,41 @@ def render_plot_svg(result: AgreementResult) -> str:
         f'<rect x="0" y="0" width="{_VIEW_W}" height="{_VIEW_H}" fill="#ffffff"/>',
         f'<rect x="{_px(_PLOT_L)}" y="{_px(_PLOT_T)}" width="{_px(_PLOT_R - _PLOT_L)}" '
         f'height="{_px(_PLOT_B - _PLOT_T)}" fill="none" stroke="#444444"/>',
-        f'<text x="{_px((_PLOT_L + _PLOT_R) / 2)}" y="25" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
+        _text("", mid_x, "25", "middle", 16, f"Difference ({diff_name}) vs {axis_name}"),
     ]
-
     for value in (x_data_lo, x_data_hi):
         px = sx(value)
-        parts.append(
-            f'<line class="xtick" x1="{_px(px)}" y1="{_px(_PLOT_B)}" '
-            f'x2="{_px(px)}" y2="{_px(_PLOT_B + 6)}" stroke="#444444"/>'
-        )
-        parts.append(
-            f'<text class="xtick-label" x="{_px(px)}" y="{_px(_PLOT_B + 20)}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-            f"{_tick_label(value)}</text>"
-        )
+        parts += [_line("xtick", px, _PLOT_B, px, _PLOT_B + 6, "#444444"),
+                  _text("xtick-label", _px(px), _px(_PLOT_B + 20), "middle", 12,
+                        _tick_label(value))]
     for value in (y_data_lo, y_data_hi):
         py = sy(value)
-        parts.append(
-            f'<line class="ytick" x1="{_px(_PLOT_L - 6)}" y1="{_px(py)}" '
-            f'x2="{_px(_PLOT_L)}" y2="{_px(py)}" stroke="#444444"/>'
-        )
-        parts.append(
-            f'<text class="ytick-label" x="{_px(_PLOT_L - 10)}" y="{_px(py + 4)}" '
-            f'text-anchor="end" font-family="sans-serif" font-size="12">'
-            f"{_tick_label(value)}</text>"
-        )
-
-    parts.append(
-        f'<text x="{_px((_PLOT_L + _PLOT_R) / 2)}" y="{_px(_PLOT_B + 45)}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="14">'
-        f"{axis_name.capitalize()} of methods A and B</text>"
-    )
-    parts.append(
-        f'<text x="20" y="{_px((_PLOT_T + _PLOT_B) / 2)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14" '
-        f'transform="rotate(-90 20 {_px((_PLOT_T + _PLOT_B) / 2)})">'
-        f"Difference ({diff_name})</text>"
-    )
+        parts += [_line("ytick", _PLOT_L - 6, py, _PLOT_L, py, "#444444"),
+                  _text("ytick-label", _px(_PLOT_L - 10), _px(py + 4), "end", 12,
+                        _tick_label(value))]
+    parts += [
+        _text("", mid_x, _px(_PLOT_B + 45), "middle", 14,
+              f"{axis_name.capitalize()} of methods A and B"),
+        _text("", "20", mid_y, "middle", 14, f"Difference ({diff_name})",
+              transform=f"rotate(-90 20 {mid_y})"),
+    ]
 
     # sx and sy apply to whole columns with the same float operations in the
     # same order as to one value, so every coordinate keeps its bits.
     cxs, cys = sx(np.asarray(xs, dtype=float)), sy(np.asarray(ds, dtype=float))
     parts += map(_CIRCLE.__mod__, zip(cxs.tolist(), cys.tolist()))
 
-    def hline(cls: str, y_value: float, dash: str | None, color: str) -> str:
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        return (
-            f'<line class="{cls}" x1="{_px(_PLOT_L)}" y1="{_px(sy(y_value))}" '
-            f'x2="{_px(_PLOT_R)}" y2="{_px(sy(y_value))}" stroke="{color}" '
-            f'stroke-width="1.5"{dash_attr}/>'
-        )
-
-    parts.append(hline("bias", result.bias, None, "#000000"))
-    parts.append(hline("loa", result.loa_low, "8 5", "#d62728"))
-    parts.append(hline("loa", result.loa_high, "8 5", "#d62728"))
-    parts.append(
-        f'<line class="trend" x1="{_px(sx(x_data_lo))}" y1="{_px(sy(trend_ys[0]))}" '
-        f'x2="{_px(sx(x_data_hi))}" y2="{_px(sy(trend_ys[1]))}" stroke="#2ca02c" '
-        f'stroke-width="1.5" stroke-dasharray="2 4"/>'
-    )
+    parts.append(_line("bias", _PLOT_L, sy(result.bias), _PLOT_R, sy(result.bias), "#000000",
+                       "1.5"))
+    for value in (result.loa_low, result.loa_high):
+        parts.append(_line("loa", _PLOT_L, sy(value), _PLOT_R, sy(value), "#d62728", "1.5", "8 5"))
+    parts.append(_line("trend", sx(x_data_lo), sy(trend_ys[0]), sx(x_data_hi), sy(trend_ys[1]),
+                       "#2ca02c", "1.5", "2 4"))
 
     for name, value in (("bias", result.bias), ("loa_low", result.loa_low),
                         ("loa_high", result.loa_high)):
-        parts.append(
-            f'<text class="{name}-label" x="{_px(_PLOT_R - 4)}" '
-            f'y="{_px(sy(value) - 5)}" text-anchor="end" font-family="sans-serif" '
-            f'font-size="11">{name.replace("_", " ")} = {_tick_label(value)}</text>'
-        )
+        parts.append(_text(f"{name}-label", _px(_PLOT_R - 4), _px(sy(value) - 5), "end", 11,
+                           f'{name.replace("_", " ")} = {_tick_label(value)}'))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

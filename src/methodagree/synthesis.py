@@ -25,7 +25,6 @@ from .agreement import (
     PairedSample,
     WeightPair,
     WithinSubjectVariance,
-    _coerce,
     _require_finite,
     _unit_scaled,
     analyze,
@@ -163,7 +162,7 @@ def closed_form_moments(
     form. This is the independent check for everything :func:`generate` +
     :func:`~methodagree.agreement.analyze` produce.
     """
-    direction = _coerce(Direction, direction)
+    direction = Direction(direction)
     sc2 = config.sigma_c**2
     var_a = config.k_a**2 * sc2 + config.s_a**2
     var_b = config.k_b**2 * sc2 + config.s_b**2
@@ -211,7 +210,7 @@ def monte_carlo_covariance(
         raise ValueError("monte_carlo_covariance needs exact_moments=False")
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
-    direction = _coerce(Direction, direction)
+    direction = Direction(direction)
 
     n = config.n
     sign = 1.0 if direction is Direction.A_MINUS_B else -1.0
@@ -233,6 +232,16 @@ def monte_carlo_covariance(
     return float(covs.mean()), float(covs.std(ddof=1) / np.sqrt(trials))
 
 
+def _run_both_axes(config: SyntheticConfig, direction: Direction | str
+                   ) -> tuple[PairedSample, AgreementResult, AgreementResult]:
+    """Generate the sample of ``config``; return it with its mean- and weighted-axis results."""
+    sample = generate(config)
+    classic = analyze(sample, axis=AxisKind.ARITHMETIC_MEAN, direction=direction)
+    weighted = analyze(sample, axis=AxisKind.WEIGHTED_AVERAGE, direction=direction,
+                       variances=config.error_variances())
+    return sample, classic, weighted
+
+
 def preset_results() -> list[tuple[str, AgreementResult, AgreementResult]]:
     """Run the four canonical cases (n = 100, sigma_c = 10.0, seed 1) through both analyses.
 
@@ -240,12 +249,5 @@ def preset_results() -> list[tuple[str, AgreementResult, AgreementResult]]:
     differences taken b - a, 95% slope intervals and the weighted axis built
     from the presets' true error variances.
     """
-    out = []
-    for label in sorted(CASE_PRESETS):
-        config = preset_config(label)
-        sample = generate(config)
-        v = config.error_variances()
-        classic = analyze(sample, axis=AxisKind.ARITHMETIC_MEAN)
-        weighted = analyze(sample, axis=AxisKind.WEIGHTED_AVERAGE, variances=v)
-        out.append((label, classic, weighted))
-    return out
+    return [(label, *_run_both_axes(preset_config(label), Direction.B_MINUS_A)[1:])
+            for label in sorted(CASE_PRESETS)]

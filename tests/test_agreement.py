@@ -22,6 +22,7 @@ from methodagree.agreement import (
 )
 from methodagree.io import write_paired
 from methodagree.numerics import DegenerateDataError, covariance, variance
+from methodagree.synthesis import closed_form_moments, monte_carlo_covariance, preset_config
 
 
 #: Finite pairs whose classic axis overflows in a + b.
@@ -470,6 +471,24 @@ class TestAnalyze:
         assert res.fit.r == pytest.approx(res_sw.fit.r, rel=1e-12)
         assert res.fit.p_value == pytest.approx(res_sw.fit.p_value, rel=1e-12)
         np.testing.assert_allclose(res.axis_values, res_sw.axis_values)
+
+    @pytest.mark.parametrize("call, choices", [
+        (lambda bad: analyze(PairedSample([1.0, 2.0, 4.0], [1.5, 2.0, 3.0]), axis=bad),
+         "'mean', 'weighted'"),
+        (lambda bad: analyze(PairedSample([1.0, 2.0, 4.0], [1.5, 2.0, 3.0]), direction=bad),
+         "'a-b', 'b-a'"),
+        (lambda bad: predicted_covariance(WeightPair(1.0, 2.0),
+                                          WithinSubjectVariance(1.0, 2.0), direction=bad),
+         "'a-b', 'b-a'"),
+        (lambda bad: closed_form_moments(preset_config("c"), WeightPair(1.0, 2.0), bad),
+         "'a-b', 'b-a'"),
+        (lambda bad: monte_carlo_covariance(preset_config("c", exact_moments=False),
+                                            WeightPair(1.0, 2.0), 2, bad), "'a-b', 'b-a'"),
+    ], ids=["analyze-axis", "analyze-direction", "predicted_covariance", "closed_form_moments",
+            "monte_carlo_covariance"])
+    def test_bad_enum_string_names_the_choices(self, call, choices):
+        with pytest.raises(ValueError, match=f"^expected one of {choices}, got 'sideways'$"):
+            call("sideways")
 
     @pytest.mark.parametrize("scale", [1e160, 1e-170])
     @pytest.mark.parametrize("axis", ["mean", "weighted"])

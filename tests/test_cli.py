@@ -166,6 +166,33 @@ class TestAnalyze:
         main(["analyze", "--input", str(paired_csv), "--classic", "--direction", "a-b"])
         assert "direction: a-b" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("level, label", [("0.95", "95% CI"), ("0.5", "50% CI"),
+                                              ("0.999", "99.9% CI"),
+                                              ("0.9999999", "99.99999% CI")])
+    def test_confidence_label_names_the_level(self, paired_csv, capsys, level, label):
+        code = main(["analyze", "--input", str(paired_csv), "--swa", "1", "--swb", "4",
+                     "--confidence", level])
+        (k_line,) = [line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("k:")]
+        assert code == 0
+        assert f"   {label}: (" in k_line
+
+    @pytest.mark.parametrize("flags, code", [(["--classic"], 0), ([], 2)],
+                             ids=["classic", "weighted"])
+    def test_replicates_without_spread(self, tmp_path, capsys, flags, code):
+        # no subject varies within either method: only the weighted axis needs variances
+        path = tmp_path / "flat.csv"
+        path.write_text("subject,method,replicate,value\n" + "".join(
+            f"s{i},{m},{r},{100 + i + (m == 'B') * i * i}\n"
+            for i in range(1, 6) for m in "AB" for r in (1, 2)), encoding="utf-8")
+        assert main(["analyze", "--replicates", str(path), *flags]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err == ("error: degenerate weights: both within-subject "
+                                    "variances are zero\n")
+        else:
+            assert "axis: arithmetic mean" in captured.out and captured.err == ""
+
 
 @pytest.mark.parametrize("argv", [
     ["analyze", "--input", "{paired}", "--swa", "2.0", "--swb", "4.5"],

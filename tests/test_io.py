@@ -3,6 +3,7 @@ import json
 import re
 from dataclasses import asdict, replace
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -457,6 +458,13 @@ class TestReports:
         with pytest.raises(ParseError, match="weights.beta must be a finite number, got True"):
             parse_report(self._edited(weights={"alpha": 1.0, "beta": True}))
 
+    @pytest.mark.parametrize("alpha", ["x", None, 10**400, [2.0]],
+                             ids=["string", "null", "huge-int", "list"])
+    def test_rejects_weight_that_is_not_a_number(self, alpha):
+        message = f"weights.alpha must be a finite number, got {alpha!r}"
+        with pytest.raises(ParseError, match=f"^malformed report document: {re.escape(message)}$"):
+            parse_report(self._edited(weights={"alpha": alpha, "beta": 1.0}))
+
     @pytest.mark.parametrize("fields, message", [
         ({"axis": "mean"}, "axis 'mean' does not match weights {'alpha': 20.25, 'beta': 0.25}"),
         ({"weights": None}, "axis 'weighted' does not match weights None"),
@@ -733,3 +741,37 @@ class TestPlots:
         assert "vs mean" in classic_svg
         assert "vs weighted average" in weighted_svg
         assert "Difference (b - a)" in classic_svg
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _literal_result(axis: str) -> AgreementResult:
+    """A result built from literal floats, so no library rounding enters the artifacts."""
+    if axis == "mean":
+        return AgreementResult(
+            direction=Direction.B_MINUS_A, axis=AxisKind.ARITHMETIC_MEAN, weights=None,
+            bias=0.5, loa_low=-3.4196, loa_high=4.4196,
+            fit=RegressionFit(0.0825, -7.86125, 0.2133, -0.596, 0.761, 0.2125, 0.7315, 3),
+            axis_values=np.array([98.5, 101.25, 103.0, 110.75, 96.125]),
+            differences=np.array([1.5, -2.25, 0.75, 3.0, -0.5]),
+        )
+    return AgreementResult(
+        direction=Direction.A_MINUS_B, axis=AxisKind.WEIGHTED_AVERAGE,
+        weights=WeightPair(20.25, 0.25), bias=-0.123456789, loa_low=-4.1, loa_high=3.853086422,
+        fit=RegressionFit(-0.1, 10.0, 0.05, -0.259, 0.059, -0.7550, 0.1403, 3),
+        axis_values=np.array([98.0625, 101.75, 102.5, 111.3125, 96.5]),
+        differences=np.array([-1.5, 2.25, -0.75, -3.0, 0.5]),
+    )
+
+
+class TestGoldenArtifacts:
+    @pytest.mark.parametrize("axis", ["mean", "weighted"])
+    def test_report_text(self, axis):
+        want = (GOLDEN / f"report_{axis}.json").read_text(encoding="utf-8")
+        assert emit_report(_literal_result(axis)) == want
+
+    @pytest.mark.parametrize("axis", ["mean", "weighted"])
+    def test_plot_text(self, axis):
+        want = (GOLDEN / f"plot_{axis}.svg").read_text(encoding="utf-8")
+        assert render_plot_svg(_literal_result(axis)) == want
