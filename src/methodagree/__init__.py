@@ -9,70 +9,11 @@ closed-form covariance predictor behind it, a deterministic synthetic
 data engine, and CSV/JSON/SVG tooling.
 """
 
-from .agreement import (
-    AgreementResult,
-    AxisKind,
-    Direction,
-    PairedSample,
-    ReplicatedSample,
-    WeightPair,
-    WithinSubjectVariance,
-    analyze,
-    estimate_variances,
-    general_covariance_identity,
-    paired_from_replicates,
-    predicted_covariance,
-    weighted_average,
-)
-from .numerics import (
-    DegenerateDataError,
-    RegressionFit,
-    correlation_p_value,
-    linear_fit,
-    orthonormalize,
-    student_t_cdf,
-    student_t_quantile,
-)
-from .synthesis import (
-    CASE_PRESETS,
-    ClosedFormMoments,
-    SyntheticConfig,
-    closed_form_moments,
-    generate,
-    monte_carlo_covariance,
-    preset_config,
-    preset_results,
-)
+from . import agreement, numerics, synthesis
+from .agreement import *
+from .numerics import *
+from .synthesis import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AgreementResult",
-    "AxisKind",
-    "CASE_PRESETS",
-    "ClosedFormMoments",
-    "DegenerateDataError",
-    "Direction",
-    "PairedSample",
-    "RegressionFit",
-    "ReplicatedSample",
-    "SyntheticConfig",
-    "WeightPair",
-    "WithinSubjectVariance",
-    "analyze",
-    "closed_form_moments",
-    "correlation_p_value",
-    "estimate_variances",
-    "general_covariance_identity",
-    "generate",
-    "linear_fit",
-    "monte_carlo_covariance",
-    "orthonormalize",
-    "paired_from_replicates",
-    "predicted_covariance",
-    "preset_config",
-    "preset_results",
-    "student_t_cdf",
-    "student_t_quantile",
-    "weighted_average",
-]
+__all__ = [*agreement.__all__, *numerics.__all__, *synthesis.__all__]

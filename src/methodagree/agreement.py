@@ -27,7 +27,6 @@ __all__ = [
     "WithinSubjectVariance",
     "WeightPair",
     "AgreementResult",
-    "LOA_MULTIPLIER",
     "estimate_variances",
     "paired_from_replicates",
     "weighted_average",
@@ -231,11 +230,13 @@ def weighted_average(a, b, v: WithinSubjectVariance):
 
     Each method is weighted by the *other* method's within-subject variance:
     (s_wb2 * a + s_wa2 * b) / (s_wa2 + s_wb2). With equal variances this is
-    the arithmetic mean; with one variance zero it returns the error-free
-    method's values unchanged. Scaling both variances by a common positive
-    factor leaves the result unchanged; the variances are scaled by an exact
-    power of two first, so huge or subnormal ones neither overflow nor lose
-    digits. Accepts scalars or arrays.
+    the arithmetic mean; with one variance zero, the error-free method's
+    values up to rounding. The result lies within a few ulps of [min(a, b),
+    max(a, b)]: equal a and b can come back an ulp off, and values within an
+    ulp of the largest double can overflow. Scaling both variances by a
+    common positive factor leaves the result unchanged; the variances are
+    scaled by an exact power of two first, so huge or subnormal variances
+    neither overflow nor lose digits. Accepts scalars or arrays.
     """
     alpha, beta = _unit_scaled(WeightPair.from_variances(v))
     return (alpha * np.asarray(a) + beta * np.asarray(b)) / (alpha + beta)

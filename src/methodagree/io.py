@@ -325,7 +325,8 @@ def format_table(entries) -> str:
     def columns(r: str, p: str, k: str) -> str:
         return f"{r:<6}{p:<7}{k:<{k_width}}"
 
-    header_1 = f"{'':6}{'mean axis':<{12 + k_width}}  {'weighted axis':<{12 + k_width}}"
+    cell = len(columns("", "", ""))
+    header_1 = f"{'':6}{'mean axis':<{cell}}  {'weighted axis':<{cell}}"
     header_2 = columns("r", "p", "k (95% CI)")
     lines = [header_1.rstrip(), f"{'case':<6}{header_2}  {header_2}".rstrip()]
     for label, classic, weighted in entries:

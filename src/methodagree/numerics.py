@@ -20,9 +20,6 @@ from scipy.special import stdtr, stdtrit
 __all__ = [
     "DegenerateDataError",
     "RegressionFit",
-    "mean",
-    "variance",
-    "covariance",
     "correlation_p_value",
     "student_t_cdf",
     "student_t_quantile",
@@ -54,6 +51,8 @@ def _as_pair(x, y, min_len: int) -> tuple[np.ndarray, np.ndarray]:
     return xv, yv
 
 
+# Not package API: perfbench/spans.py traces mean, variance and covariance by
+# name, and the tests use variance and covariance as references.
 def mean(x) -> float:
     """Arithmetic mean of a nonempty vector."""
     return float(np.mean(_as_vector(x, 1)))

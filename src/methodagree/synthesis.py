@@ -89,24 +89,16 @@ CASE_PRESETS: dict[str, dict[str, float]] = {
 }
 
 
-def preset_config(
-    label: str,
-    *,
-    n: int = 100,
-    sigma_c: float = 10.0,
-    seed: int = 1,
-    exact_moments: bool = True,
-) -> SyntheticConfig:
-    """Config for one of the canonical cases 'a'..'d'."""
+def preset_config(label: str, **fields) -> SyntheticConfig:
+    """Config for one of the canonical cases 'a'..'d'; ``fields`` set the other
+    :class:`SyntheticConfig` fields (``n``, ``sigma_c``, ``seed``, ``exact_moments``)."""
     try:
         params = CASE_PRESETS[label]
     except KeyError:
         raise ValueError(
             f"unknown case {label!r}; expected one of {sorted(CASE_PRESETS)}"
         ) from None
-    return SyntheticConfig(
-        n=n, sigma_c=sigma_c, seed=seed, exact_moments=exact_moments, **params
-    )
+    return SyntheticConfig(**params, **fields)
 
 
 #: Doubles of uniforms per Monte Carlo block (128 KiB): enough trials to

@@ -53,6 +53,18 @@ class TestDomainTypes:
         assert write_paired(s).splitlines()[1:] == ["1,1.0,1.5", "2,2.0,2.5", "3,3.0,3.5"]
         assert s.n == 3
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: PairedSample([[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0]]),
+         "measurements must be one-dimensional"),
+        (lambda: general_covariance_identity(WeightPair(1.0, 1.0), -1.0, 1.0, 0.0),
+         "variances must be nonnegative"),
+        (lambda: general_covariance_identity(WeightPair(1.0, 1.0), 1.0, -1.0, 0.0),
+         "variances must be nonnegative"),
+    ], ids=["paired-2d", "identity-var-a", "identity-var-b"])
+    def test_rejects_invalid_input(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
     def test_paired_sample_checks_given_ids(self):
         with pytest.raises(ValueError, match="duplicate subject ids"):
             PairedSample(a=[1.0, 2.0, 3.0], b=[1.0, 2.0, 3.0], subject_ids=("x", "y", "x"))

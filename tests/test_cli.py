@@ -259,6 +259,21 @@ class TestSimulate:
         sample = parse_paired((out / "pairs.csv").read_text(encoding="utf-8"))
         assert sample.n == 50
 
+    @pytest.mark.parametrize("raw, exact", [
+        ("false", False), ("0", False), ("no", False), ("off", False), ("TRUE", True),
+    ])
+    def test_exact_moments_flag(self, raw, exact, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--case", "d", "--exact-moments", raw, "--out", str(out)]) == 0
+        want = write_paired(generate(preset_config("d", exact_moments=exact)))
+        assert (out / "pairs.csv").read_bytes() == want.encode()
+
+    def test_exact_moments_flag_rejects_other_words(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--case", "d", "--exact-moments", "maybe", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "expected true or false" in capsys.readouterr().err
+
     def test_bad_case_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--case", "q", "--out", str(tmp_path)])
@@ -275,7 +290,7 @@ class TestTable1:
         # criterion 1 asks for byte identity, so the whole table is pinned
         assert main(["table1"]) == 0
         assert capsys.readouterr().out == (
-            "      mean axis                           weighted axis\n"
+            "      mean axis                            weighted axis\n"
             "case  r     p      k (95% CI)              r     p      k (95% CI)\n"
             "a     0.00  1.00   0.00 (-0.04 – 0.04)     0.00  1.00   0.00 (-0.04 – 0.04)\n"
             "b     -0.42 <0.001 -0.10 (-0.15 – -0.06)   -0.42 <0.001 -0.10 (-0.15 – -0.06)\n"

@@ -40,6 +40,23 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown case"):
             preset_config("z")
 
+    def test_preset_config_forwards_fields(self):
+        assert preset_config("c") == SyntheticConfig(**CASE_PRESETS["c"])
+        fields = dict(n=7, sigma_c=2.5, seed=9, exact_moments=False)
+        assert preset_config("c", **fields) == SyntheticConfig(**CASE_PRESETS["c"], **fields)
+        with pytest.raises(TypeError):
+            preset_config("c", size=7)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: SyntheticConfig(n=2, exact_moments=False), "need n >= 3, got 2"),
+        (lambda: monte_carlo_covariance(preset_config("c", exact_moments=False),
+                                        mean_weights(), trials=1),
+         "need at least 2 trials, got 1"),
+    ], ids=["config-n-2", "monte-carlo-1-trial"])
+    def test_rejects_invalid_input(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SyntheticConfig(n=3, exact_moments=True)
@@ -150,6 +167,15 @@ class TestGenerate:
 
 
 class TestClosedFormMoments:
+    def test_no_error_and_equal_scaling_has_no_correlation(self):
+        # a = b exactly: the differences are constant, so r is 0 by definition
+        config = SyntheticConfig(k_a=1.0, k_b=1.0, s_a=0.0, s_b=0.0)
+        cf = closed_form_moments(config, WeightPair(1.0, 2.0))
+        assert (cf.var_diff, cf.r) == (0.0, 0.0)
+        assert cf.var_axis == pytest.approx(100.0, rel=1e-12)
+        assert cf.cov == pytest.approx(0.0, abs=1e-12)
+        assert cf.slope == pytest.approx(0.0, abs=1e-12)
+
     def test_case_b_mean_axis(self):
         # cov = (k_b^2 - k_a^2)*sigma_c^2/2 = -9.5, var_diff = 5.5,
         # var_axis = 91.375 -> r = -0.4238, slope = -0.1040
