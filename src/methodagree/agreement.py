@@ -12,7 +12,7 @@ and the closed-form covariance predictor that quantifies the artifact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -195,7 +195,7 @@ class WeightPair:
 
 @dataclass(frozen=True)
 class AgreementResult:
-    """Bias, limits of agreement and trend fit of a difference plot."""
+    """Bias, limits of agreement and trend fit of a difference plot, checked for consistency."""
 
     direction: Direction
     axis: AxisKind
@@ -206,6 +206,14 @@ class AgreementResult:
     fit: RegressionFit
     axis_values: np.ndarray = field(repr=False)
     differences: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        if (self.axis is AxisKind.WEIGHTED_AVERAGE) != (self.weights is not None):
+            weights = None if self.weights is None else asdict(self.weights)
+            raise ValueError(f"axis {self.axis.value!r} does not match weights {weights!r}")
+        shapes = np.shape(self.axis_values), np.shape(self.differences)
+        if len(shapes[0]) != 1 or shapes[0] != shapes[1]:
+            raise ValueError(f"points need two 1-D columns of equal length, got shapes {shapes}")
 
     @property
     def n(self) -> int:

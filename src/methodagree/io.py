@@ -221,8 +221,7 @@ def emit_report(result: AgreementResult) -> str:
     number, which is the text ``json`` writes for a finite float. Points must
     be finite. The caller writes the text where it wants it.
     """
-    xs = np.asarray(result.axis_values, dtype=float)
-    ds = np.asarray(result.differences, dtype=float)
+    xs, ds = np.asarray(result.axis_values, float), np.asarray(result.differences, float)
     if not (np.isfinite(xs).all() and np.isfinite(ds).all()):
         raise ValueError("report points must be finite")
     payload = {
@@ -267,13 +266,11 @@ def parse_report(text: str) -> AgreementResult:
                               for name, value in asdict(fit).items() if name != "df"})
         if type(fit.df) is not int or fit.df < 1:
             raise ValueError(f"fit.df must be a positive integer, got {fit.df!r}")
-        weights, axis = payload["weights"], AxisKind(payload["axis"])
+        weights = payload["weights"]
         if weights is not None:  # a float's finiteness and sign are the pair's own checks
             weights = WeightPair(**{name: value if type(value) is float
                                     else _json_float(f"weights.{name}", value)
                                     for name, value in {**weights}.items()})
-        if (axis is AxisKind.WEIGHTED_AVERAGE) != (weights is not None):
-            raise ValueError(f"axis {axis.value!r} does not match weights {payload['weights']!r}")
         points = np.asarray(payload["points"], dtype=float)
         if points.ndim != 2 or points.shape[1] != 2 or not np.isfinite(points).all():
             raise ValueError("points must be an (n, 2) array of finite numbers")
@@ -281,7 +278,7 @@ def parse_report(text: str) -> AgreementResult:
             raise ValueError(f"n is {payload['n']!r} but there are {len(points)} points")
         return AgreementResult(
             direction=Direction(payload["direction"]),
-            axis=axis,
+            axis=AxisKind(payload["axis"]),
             weights=weights,
             fit=fit,
             axis_values=points[:, 0],

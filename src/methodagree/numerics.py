@@ -1,12 +1,11 @@
-"""Deterministic statistics kernel.
+"""Internal statistics kernel: correlation inference, least squares with slope
+confidence intervals, Student-t functions (``scipy.special.stdtr``/``stdtrit``)
+and exact whitening. Pure functions; no module state, no randomness.
 
-Sample moments, Pearson correlation inference, ordinary least squares with
-slope confidence intervals, Student-t functions, and exact sample
-whitening. Everything here is a pure function of its inputs; no module
-state, no randomness.
-
-The Student-t CDF and quantile are ``scipy.special.stdtr`` and ``stdtrit``
-behind argument checks; moments and whitening are plain numpy.
+Only :class:`DegenerateDataError` and :class:`RegressionFit` are package API.
+The public entry points validate arguments; the kernel assumes valid ones and
+checks only what valid input can still hit: a confidence without a quantile
+level, a constant axis, rank-deficient columns.
 """
 
 from __future__ import annotations
@@ -17,15 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import stdtr, stdtrit
 
-__all__ = [
-    "DegenerateDataError",
-    "RegressionFit",
-    "correlation_p_value",
-    "student_t_cdf",
-    "student_t_quantile",
-    "linear_fit",
-    "orthonormalize",
-]
+__all__ = ["DegenerateDataError", "RegressionFit"]
 
 
 class DegenerateDataError(ValueError):
@@ -99,20 +90,11 @@ def _moments(xc: np.ndarray, yc: np.ndarray) -> tuple[float, float, float]:
 
 
 def correlation_p_value(r: float, n: int) -> float:
-    """Two-sided p-value for H0: no correlation, given sample r and size n.
+    """Two-sided p-value for H0: no correlation, given sample r in [-1, 1] and size n >= 3.
 
-    Uses the exact Student-t transform t = r*sqrt(n-2)/sqrt(1-r^2) with
-    n-2 degrees of freedom. r = +-1 maps to p = 0, r = 0 to p = 1.
+    Uses the exact Student-t transform t = r*sqrt(n-2)/sqrt(1-r^2), n-2 degrees of
+    freedom. r = +-1 maps to p = 0, r = 0 to p = 1: the t CDF at -0.0 is exactly 1/2.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3 for a correlation test, got {n}")
-    if not -1.0 <= r <= 1.0:
-        if abs(r) <= 1.0 + 1e-12:  # tolerate float excursions from callers
-            r = min(1.0, max(-1.0, r))
-        else:
-            raise ValueError(f"correlation must lie in [-1, 1], got {r}")
-    if r == 0.0:
-        return 1.0
     if abs(r) == 1.0:
         return 0.0
     df = n - 2
@@ -123,25 +105,13 @@ def correlation_p_value(r: float, n: int) -> float:
 # --- Student-t distribution -------------------------------------------------
 
 
-def _check_df(df: int) -> int:
-    if not float(df).is_integer() or df < 1:
-        raise ValueError(f"degrees of freedom must be a positive integer, got {df}")
-    return int(df)
-
-
 def student_t_cdf(t: float, df: int) -> float:
-    """CDF of the Student-t distribution with ``df`` degrees of freedom."""
-    df = _check_df(df)
-    if math.isnan(t):
-        raise ValueError("t must not be NaN")
+    """CDF of the Student-t distribution with ``df >= 1`` degrees of freedom."""
     return float(stdtr(df, t))
 
 
 def student_t_quantile(q: float, df: int) -> float:
-    """Inverse of :func:`student_t_cdf`; ``q`` must lie strictly in (0, 1)."""
-    df = _check_df(df)
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile level must lie strictly in (0, 1), got {q}")
+    """Inverse of :func:`student_t_cdf`, for ``q`` strictly in (0, 1)."""
     return float(stdtrit(df, q))
 
 
@@ -167,15 +137,18 @@ def linear_fit(x, y, confidence: float = 0.95) -> RegressionFit:
 
     The slope confidence interval uses the Student-t quantile at ``df = n - 2``
     with SE^2 = (var(y)/var(x)) * (1 - r^2) / (n - 2); the variance-divisor
-    choice cancels in that ratio. ``x`` must be nonconstant and both vectors
-    must have equal length n >= 3. Each vector is centred once and scaled by
-    an exact power of two, so data near 1e300 or 1e-300 fit as well as data
-    near 1.
+    choice cancels in that ratio. The caller passes finite 1-D vectors of
+    equal length n >= 3; a constant ``x`` raises :class:`DegenerateDataError`.
+    Each vector is centred once and scaled by an exact power of two, so data
+    near 1e300 or 1e-300 fit as well as data near 1.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    xv, yv = _as_pair(x, y, 3)
-    n = xv.size
+    level = 1.0 - (1.0 - confidence) / 2.0  # upper quantile level of the two-sided interval
+    if level == 1.0:
+        raise ValueError(f"confidence {confidence} is too close to 1: the quantile level "
+                         "of its two-sided interval rounds to 1")
+    xv, yv = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     x_mean, xc, p = _centred(xv)
     y_mean, yc, q = _centred(yv)
     # moments of x * 2**p and y * 2**q: r is scale-free, slope and SE scale by 2**(q - p)
@@ -184,13 +157,11 @@ def linear_fit(x, y, confidence: float = 0.95) -> RegressionFit:
         raise DegenerateDataError("cannot fit a line on a constant x")
     slope = math.ldexp(cxy / vx, p - q)
     intercept = y_mean - slope * x_mean
-    if vy > 0.0:
-        r = min(1.0, max(-1.0, cxy / math.sqrt(vx * vy)))
-    else:
-        r = 0.0  # constant y: slope 0, no association to test
-    df = n - 2
+    # a constant y has slope 0 and no association to test
+    r = min(1.0, max(-1.0, cxy / math.sqrt(vx * vy))) if vy > 0.0 else 0.0
+    df = xv.size - 2
     se = math.ldexp(math.sqrt((vy / vx) * max(0.0, 1.0 - r * r) / df), p - q)
-    tq = student_t_quantile(1.0 - (1.0 - confidence) / 2.0, df)
+    tq = student_t_quantile(level, df)
     return RegressionFit(
         slope=slope,
         intercept=intercept,
@@ -198,7 +169,7 @@ def linear_fit(x, y, confidence: float = 0.95) -> RegressionFit:
         ci_low=slope - tq * se,
         ci_high=slope + tq * se,
         r=r,
-        p_value=correlation_p_value(r, n),
+        p_value=correlation_p_value(r, xv.size),
         df=df,
     )
 
@@ -218,19 +189,12 @@ def orthonormalize(columns) -> np.ndarray:
     overflow nor underflow; the result is the transposed view of that
     (k, n) array, so each of its columns is contiguous in memory.
 
-    Raises :class:`DegenerateDataError` when the centered columns are not
-    linearly independent; if the input came from a random draw, retry with
-    a different seed.
+    Raises :class:`DegenerateDataError` when the centered columns of the finite
+    input are not linearly independent, as with fewer than k + 1 rows; if the
+    input came from a random draw, retry with a different seed.
     """
     x = np.asarray(columns, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"expected an (n, k) matrix of columns, got shape {x.shape}")
     n, k = x.shape
-    if n < k + 1:
-        raise ValueError(f"need at least {k + 1} rows to whiten {k} columns, got {n}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input contains non-finite values")
-
     # One common scale: a per-row one would rotate the symmetric whitener's output.
     rows = np.ldexp(x.T, _pow2_shift(x), out=np.empty((k, n)))
     rows -= rows.mean(axis=1, keepdims=True)

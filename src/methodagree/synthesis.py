@@ -44,6 +44,11 @@ __all__ = [
 ]
 
 
+def _require_integer(name: str, value) -> None:
+    if not isinstance(value, (int, np.integer)):  # 100.0 would fail later, inside numpy
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Parameters of one synthetic comparison.
@@ -64,6 +69,8 @@ class SyntheticConfig:
     exact_moments: bool = True
 
     def __post_init__(self):
+        _require_integer("n", self.n)
+        _require_integer("seed", self.seed)
         _require_finite(self, "k_a", "k_b", "s_a", "s_b", "sigma_c")
         if self.n < 3:
             raise ValueError(f"need n >= 3, got {self.n}")
@@ -200,6 +207,7 @@ def monte_carlo_covariance(
     """
     if config.exact_moments:
         raise ValueError("monte_carlo_covariance needs exact_moments=False")
+    _require_integer("trials", trials)
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     direction = Direction(direction)

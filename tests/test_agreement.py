@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -380,6 +381,27 @@ class TestCovariancePredictions:
         assert got == pytest.approx(predicted_covariance(w, v), rel=1e-9, abs=1e-9)
 
 
+class TestAgreementResult:
+    @pytest.mark.parametrize("edit, message", [
+        (lambda mean, weighted: replace(mean, weights=WeightPair(1.0, 2.0)),
+         "axis 'mean' does not match weights {'alpha': 1.0, 'beta': 2.0}"),
+        (lambda mean, weighted: replace(weighted, weights=None),
+         "axis 'weighted' does not match weights None"),
+        (lambda mean, weighted: replace(mean, differences=mean.differences[:-1]),
+         "points need two 1-D columns of equal length, got shapes ((40,), (39,))"),
+        (lambda mean, weighted: replace(mean, axis_values=mean.axis_values[:, None],
+                                        differences=mean.differences[:, None]),
+         "points need two 1-D columns of equal length, got shapes ((40, 1), (40, 1))"),
+    ], ids=["mean-with-weights", "weighted-without-weights", "short-differences", "2d-columns"])
+    def test_rejects_a_result_that_contradicts_itself(self, edit, message):
+        # each of these would be written by emit_report and rejected by parse_report
+        sample = random_sample(np.random.default_rng(9))
+        mean = analyze(sample)
+        weighted = analyze(sample, axis="weighted", variances=WithinSubjectVariance(1.0, 2.0))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            edit(mean, weighted)
+
+
 class TestAnalyze:
     def test_loa_structure(self):
         rng = np.random.default_rng(1)
@@ -452,6 +474,15 @@ class TestAnalyze:
         sample = PairedSample(a=[1.0, 2.0, 3.0], b=[3.0, 2.0, 1.0])
         with pytest.raises(DegenerateDataError, match="constant"):
             analyze(sample)  # all means are 2
+
+    def test_confidence_whose_quantile_level_rounds_to_one(self):
+        # 1 - (1 - c)/2 rounds to 1.0 for the largest double below 1, and for no other c < 1
+        sample = random_sample(np.random.default_rng(8))
+        message = "confidence 0.9999999999999999 is too close to 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            analyze(sample, confidence=0.9999999999999999)
+        fit = analyze(sample, confidence=1.0 - 2.0**-52).fit
+        assert math.isfinite(fit.ci_low) and math.isfinite(fit.ci_high)
 
     def test_sample_cov_matches_identity_on_own_moments(self):
         # plain algebra: cov(diff, mean) computed two ways must agree

@@ -18,19 +18,14 @@ PACKAGE = [
     "WithinSubjectVariance",
     "analyze",
     "closed_form_moments",
-    "correlation_p_value",
     "estimate_variances",
     "general_covariance_identity",
     "generate",
-    "linear_fit",
     "monte_carlo_covariance",
-    "orthonormalize",
     "paired_from_replicates",
     "predicted_covariance",
     "preset_config",
     "preset_results",
-    "student_t_cdf",
-    "student_t_quantile",
     "weighted_average",
 ]
 

@@ -177,6 +177,13 @@ class TestAnalyze:
         assert code == 0
         assert f"   {label}: (" in k_line
 
+    def test_confidence_whose_quantile_level_rounds_to_one(self, paired_csv, capsys):
+        code = main(["analyze", "--input", str(paired_csv), "--classic",
+                     "--confidence", "0.9999999999999999"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: confidence 0.9999999999999999 is too close to 1: ")
+
     @pytest.mark.parametrize("flags, code", [(["--classic"], 0), ([], 2)],
                              ids=["classic", "weighted"])
     def test_replicates_without_spread(self, tmp_path, capsys, flags, code):

@@ -8,7 +8,6 @@ ones.
 
 import dataclasses
 import math
-import re
 
 import numpy as np
 import pytest
@@ -123,36 +122,6 @@ class TestCorrelationPValue:
         # oracle: scipy -> 0.9135036590484389
         assert correlation_p_value(0.0110, 100) == pytest.approx(0.91, abs=0.01)
 
-    def test_small_n_rejected(self):
-        with pytest.raises(ValueError):
-            correlation_p_value(0.5, 2)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            correlation_p_value(1.5, 10)
-
-    @pytest.mark.parametrize("r", [1.0 + 1e-13, -1.0 - 1e-13])
-    def test_excursion_past_one_is_clamped(self, r):
-        assert correlation_p_value(r, 10) == 0.0
-
-
-@pytest.mark.parametrize("call, message", [
-    (lambda: linear_fit([[1.0, 2.0, 3.0]], [1.0, 2.0, 3.0]),
-     "x must be one-dimensional, got shape (1, 3)"),
-    (lambda: linear_fit([1.0, 2.0, 3.0], [[1.0], [2.0], [3.0]]),
-     "y must be one-dimensional, got shape (3, 1)"),
-    (lambda: linear_fit([1.0, math.inf, 3.0], [1.0, 2.0, 3.0]), "x contains non-finite values"),
-    (lambda: linear_fit([1.0, 2.0, 3.0], [1.0, math.nan, 3.0]), "y contains non-finite values"),
-    (lambda: correlation_p_value(1.1, 10), "correlation must lie in [-1, 1], got 1.1"),
-    (lambda: student_t_cdf(math.nan, 5), "t must not be NaN"),
-    (lambda: orthonormalize(np.arange(5.0)), "expected an (n, k) matrix of columns, got shape (5,)"),
-    (lambda: orthonormalize([[1.0, 2.0], [3.0, math.nan], [5.0, 7.0], [2.0, 1.0]]),
-     "input contains non-finite values"),
-], ids=["fit-x-2d", "fit-y-2d", "fit-x-inf", "fit-y-nan", "r-1.1", "cdf-nan", "whiten-1d",
-        "whiten-nan"])
-def test_rejects_invalid_input(call, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        call()
 
 
 def _t_density(x: float, df: int) -> float:
@@ -201,10 +170,6 @@ class TestStudentT:
             expected = 0.5 - 1e-6 * _t_density(0.0, df)
             assert abs(student_t_cdf(-1e-6, df) - expected) <= 1e-15
 
-    def test_cdf_bad_df(self):
-        with pytest.raises(ValueError):
-            student_t_cdf(1.0, 0)
-
     def test_quantile_median(self):
         assert student_t_quantile(0.5, 10) == 0.0
 
@@ -241,11 +206,6 @@ class TestStudentT:
             for q in (0.001, 0.025, 0.2, 0.5, 0.8, 0.975, 0.999):
                 t = student_t_quantile(q, df)
                 assert student_t_cdf(t, df) == pytest.approx(q, abs=1e-9)
-
-    def test_quantile_domain(self):
-        for bad in (0.0, 1.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                student_t_quantile(bad, 5)
 
 
 class TestLinearFit:

@@ -57,6 +57,32 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: SyntheticConfig(n=100.0), "n must be an integer, got 100.0"),
+        (lambda: preset_config("c", n=1e4), "n must be an integer, got 10000.0"),
+        (lambda: SyntheticConfig(seed=1.5), "seed must be an integer, got 1.5"),
+        (lambda: monte_carlo_covariance(preset_config("c", exact_moments=False),
+                                        mean_weights(), trials=2.5),
+         "trials must be an integer, got 2.5"),
+        (lambda: monte_carlo_covariance(preset_config("c", exact_moments=False),
+                                        mean_weights(), trials=2.0),
+         "trials must be an integer, got 2.0"),
+    ], ids=["config-n-float", "preset-n-float", "config-seed-float", "monte-carlo-2.5-trials",
+            "monte-carlo-2.0-trials"])
+    def test_rejects_counts_that_are_not_integers(self, call, message):
+        # numpy would fail later with "'float' object cannot be interpreted as an integer"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+    def test_numpy_integer_counts_are_accepted(self):
+        config = preset_config("c", n=np.int64(20), seed=np.int32(4), exact_moments=False)
+        sample = generate(config)
+        reference = generate(preset_config("c", n=20, seed=4, exact_moments=False))
+        np.testing.assert_array_equal(sample.a, reference.a)
+        np.testing.assert_array_equal(sample.b, reference.b)
+        assert (monte_carlo_covariance(config, mean_weights(), trials=np.int64(3))
+                == monte_carlo_covariance(config, mean_weights(), trials=3))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SyntheticConfig(n=3, exact_moments=True)
