@@ -195,7 +195,10 @@ class WeightPair:
 
 @dataclass(frozen=True)
 class AgreementResult:
-    """Bias, limits of agreement and trend fit of a difference plot, checked for consistency."""
+    """Bias, limits of agreement and trend fit of a difference plot, checked for consistency.
+
+    ``direction`` and ``axis`` may be given as their string values.
+    """
 
     direction: Direction
     axis: AxisKind
@@ -208,6 +211,8 @@ class AgreementResult:
     differences: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "direction", Direction(self.direction))
+        object.__setattr__(self, "axis", AxisKind(self.axis))
         if (self.axis is AxisKind.WEIGHTED_AVERAGE) != (self.weights is not None):
             weights = None if self.weights is None else asdict(self.weights)
             raise ValueError(f"axis {self.axis.value!r} does not match weights {weights!r}")

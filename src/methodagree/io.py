@@ -29,7 +29,6 @@ import numpy as np
 from .agreement import (
     AgreementResult,
     AxisKind,
-    Direction,
     PairedSample,
     ReplicatedSample,
     WeightPair,
@@ -277,8 +276,8 @@ def parse_report(text: str) -> AgreementResult:
         if payload["n"] != len(points):
             raise ValueError(f"n is {payload['n']!r} but there are {len(points)} points")
         return AgreementResult(
-            direction=Direction(payload["direction"]),
-            axis=AxisKind(payload["axis"]),
+            direction=payload["direction"],
+            axis=payload["axis"],
             weights=weights,
             fit=fit,
             axis_values=points[:, 0],

@@ -13,6 +13,7 @@ from a seeded PCG64 stream and are mapped through the inverse normal CDF.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,8 @@ class SyntheticConfig:
         _require_integer("n", self.n)
         _require_integer("seed", self.seed)
         _require_finite(self, "k_a", "k_b", "s_a", "s_b", "sigma_c")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.n < 3:
             raise ValueError(f"need n >= 3, got {self.n}")
         if self.exact_moments and self.n < 4:
@@ -111,6 +114,78 @@ def preset_config(label: str, **fields) -> SyntheticConfig:
 #: Doubles of uniforms per Monte Carlo block (128 KiB): enough trials to
 #: amortise numpy's per-call overhead at small n, one trial at large n.
 _MC_BLOCK_DOUBLES = 2**14
+
+# Constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx:
+# hashmix, mix, mix_entropy, generate_state) and of PCG64's seeding
+# (pcg64_set_seed, which runs pcg_setseq_128_srandom_r with the 128-bit LCG
+# multiplier below).
+_MASK32 = 0xFFFF_FFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hasher(hash_const: int, mult: int):
+    """numpy's ``hashmix`` with its running constant, over np.uint32 arrays.
+
+    The constant evolves independently of the data, so it stays a Python int
+    masked to 32 bits. Every operand of the hash is an np.uint32 array or
+    scalar: arrays wrap mod 2**32 without a warning (a numpy-scalar overflow
+    would warn), and the promotion is the same under legacy rules and NEP 50.
+    """
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _spawned_pcg64_states(seed: int, count: int) -> Iterator[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``SeedSequence(seed).spawn(count)[i]``, for each i.
+
+    The SeedSequence hash runs once, vectorised over the spawn index i: the
+    entropy is the seed's 32-bit words, zero-padded to the pool size, then
+    the word i (one word while i < 2**32). Only the last 128-bit seeding step
+    runs per trial, as the states are consumed.
+    """
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [np.array([word], dtype=np.uint32) for word in words]
+    entropy.append(np.arange(count, dtype=np.uint32))
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+
+    # generate_state(4, np.uint64): eight words cycling over the pool, read
+    # pairwise as little-endian uint64 (low word first)
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state_words = np.stack([hashmix(pool[i % _POOL_SIZE]) for i in range(8)], axis=1)
+    seeds = state_words.astype("<u4").view("<u8")
+
+    for state_hi, state_lo, seq_hi, seq_lo in seeds.tolist():
+        # pcg_setseq_128_srandom_r: state 0, inc = seq << 1 | 1, step,
+        # add the initial state, step
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128
+        yield state, inc
 
 
 def _to_normals(u: np.ndarray) -> np.ndarray:
@@ -199,11 +274,12 @@ def monte_carlo_covariance(
     across independently seeded trials.
 
     Requires ``exact_moments`` off: whitening would tie the draws to their
-    nominal moments and defeat the sampling experiment. Per-trial seeds are
-    spawned from ``config.seed`` with numpy's SeedSequence splitting, so the
-    result is deterministic and trials are independent. Each trial draws its
-    uniforms from its own spawned stream; trials are then transformed and
-    reduced in blocks, which matches a trial-by-trial evaluation to rounding.
+    nominal moments and defeat the sampling experiment. Trial i draws its
+    uniforms from the stream of ``SeedSequence(config.seed).spawn(trials)[i]``,
+    so the result is deterministic and trials are independent. The PCG64
+    states of all trials are derived in one vectorised pass, and one
+    generator is set to each in turn. Trials are then transformed and reduced
+    in blocks, which matches a trial-by-trial evaluation to rounding.
     """
     if config.exact_moments:
         raise ValueError("monte_carlo_covariance needs exact_moments=False")
@@ -215,20 +291,23 @@ def monte_carlo_covariance(
     n = config.n
     sign = 1.0 if direction is Direction.A_MINUS_B else -1.0
     alpha, beta = _unit_scaled(w)
-    children = np.random.SeedSequence(config.seed).spawn(trials)
+    states = _spawned_pcg64_states(int(config.seed), int(trials))
+    bit_generator = np.random.PCG64(0)  # its state is set before each trial
+    rng = np.random.Generator(bit_generator)
     block = np.empty((max(1, _MC_BLOCK_DOUBLES // (3 * n)), n, 3))
     covs = np.empty(trials)
     for start in range(0, trials, len(block)):
-        chunk = children[start : start + len(block)]
-        u = block[: len(chunk)]
-        for child, out in zip(chunk, u):
-            np.random.default_rng(child).random(out=out)
+        u = block[: trials - start]
+        for out, (state, inc) in zip(u, states):
+            bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+            rng.random(out=out)
         a, b = _measurements(config, _to_normals(u))
         d = sign * (a - b)
         axis = (alpha * a + beta * b) / (alpha + beta)
         d -= d.mean(axis=1, keepdims=True)
         axis -= axis.mean(axis=1, keepdims=True)
-        covs[start : start + len(chunk)] = np.einsum("ij,ij->i", d, axis) / (n - 1)
+        covs[start : start + len(u)] = np.einsum("ij,ij->i", d, axis) / (n - 1)
     return float(covs.mean()), float(covs.std(ddof=1) / np.sqrt(trials))
 
 

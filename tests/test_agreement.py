@@ -401,6 +401,14 @@ class TestAgreementResult:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             edit(mean, weighted)
 
+    def test_parses_enum_strings(self):
+        sample = random_sample(np.random.default_rng(9))
+        weighted = analyze(sample, axis="weighted", variances=WithinSubjectVariance(1.0, 2.0))
+        edited = replace(weighted, axis="weighted", direction="a-b")
+        assert edited.axis is AxisKind.WEIGHTED_AVERAGE
+        assert edited.direction is Direction.A_MINUS_B
+        assert edited == replace(weighted, direction=Direction.A_MINUS_B)
+
 
 class TestAnalyze:
     def test_loa_structure(self):
@@ -527,8 +535,12 @@ class TestAnalyze:
          "'a-b', 'b-a'"),
         (lambda bad: monte_carlo_covariance(preset_config("c", exact_moments=False),
                                             WeightPair(1.0, 2.0), 2, bad), "'a-b', 'b-a'"),
+        (lambda bad: replace(analyze(PairedSample([1.0, 2.0, 4.0], [1.5, 2.0, 3.0])), axis=bad),
+         "'mean', 'weighted'"),
+        (lambda bad: replace(analyze(PairedSample([1.0, 2.0, 4.0], [1.5, 2.0, 3.0])),
+                             direction=bad), "'a-b', 'b-a'"),
     ], ids=["analyze-axis", "analyze-direction", "predicted_covariance", "closed_form_moments",
-            "monte_carlo_covariance"])
+            "monte_carlo_covariance", "result-axis", "result-direction"])
     def test_bad_enum_string_names_the_choices(self, call, choices):
         with pytest.raises(ValueError, match=f"^expected one of {choices}, got 'sideways'$"):
             call("sideways")

@@ -291,6 +291,12 @@ class TestSimulate:
         assert code == 2
         assert "sigma_c must be finite" in capsys.readouterr().err
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        code = main(["simulate", "--case", "a", "--seed", "-1", "--out", str(tmp_path / "sim")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+        assert not (tmp_path / "sim").exists()
+
 
 class TestTable1:
     def test_prints_reference_cells(self, capsys):

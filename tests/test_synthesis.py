@@ -17,6 +17,7 @@ from methodagree.synthesis import (
     monte_carlo_covariance,
     preset_config,
     preset_results,
+    _spawned_pcg64_states,
 )
 
 
@@ -49,10 +50,13 @@ class TestConfig:
 
     @pytest.mark.parametrize("call, message", [
         (lambda: SyntheticConfig(n=2, exact_moments=False), "need n >= 3, got 2"),
+        (lambda: SyntheticConfig(seed=-1), "seed must be nonnegative, got -1"),
+        (lambda: preset_config("c", seed=np.int32(-7)), "seed must be nonnegative, got -7"),
         (lambda: monte_carlo_covariance(preset_config("c", exact_moments=False),
                                         mean_weights(), trials=1),
          "need at least 2 trials, got 1"),
-    ], ids=["config-n-2", "monte-carlo-1-trial"])
+    ], ids=["config-n-2", "config-seed-negative", "preset-seed-negative-numpy",
+            "monte-carlo-1-trial"])
     def test_rejects_invalid_input(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
@@ -299,6 +303,25 @@ def per_trial_reference(config, w, trials, direction):
     return np.mean(covs), np.std(covs, ddof=1) / np.sqrt(trials)
 
 
+class TestSpawnedStates:
+    """The vectorised seeding against numpy's own SeedSequence spawning and PCG64 seeding."""
+
+    @pytest.mark.parametrize("count", [1, 2, 257])
+    @pytest.mark.parametrize("seed", [
+        0,
+        2**32 - 1,  # one 32-bit word
+        2**32,  # two words
+        2**64 + 5,  # three words
+        2**160 + 3,  # six words, seven with the spawn index: mixing runs past the pool
+        np.uint64(2**63 + 11),
+    ], ids=["0", "2^32-1", "2^32", "2^64+5", "2^160+3", "numpy-uint64"])
+    def test_matches_numpy_spawn(self, seed, count):
+        states = [np.random.PCG64(child).state["state"]
+                  for child in np.random.SeedSequence(seed).spawn(count)]
+        want = [(state["state"], state["inc"]) for state in states]
+        assert list(_spawned_pcg64_states(int(seed), count)) == want
+
+
 class TestMonteCarlo:
     def test_rejects_exact_moments(self):
         with pytest.raises(ValueError, match="exact_moments"):
@@ -319,6 +342,20 @@ class TestMonteCarlo:
         np.testing.assert_allclose(
             got, per_trial_reference(config, w, trials, direction), rtol=1e-12
         )
+
+    @pytest.mark.parametrize("label, n, trials, seed, w, direction, want", [
+        ("c", 100, 2000, 335381117, WeightPair(1.0, 1.0), "a-b",
+         (-10.456965080892015, 0.10541081254828562)),
+        ("d", 50, 257, 7, WeightPair(3.0, 1.0), "b-a", (-4.887767107692764, 0.3910225994191788)),
+        ("a", 30, 3, 2**160 + 3, WeightPair(1.0, 2.0), "a-b",
+         (-4.2792142748427375, 3.0960986394704246)),
+        ("c", 100, 40, 0, WeightPair(20.25, 0.25), "a-b",
+         (-1.2346081075001254, 0.7826254683487774)),
+    ])
+    def test_pinned_values(self, label, n, trials, seed, w, direction, want):
+        # values of the SeedSequence.spawn + default_rng implementation; every bit must stay
+        config = preset_config(label, n=n, seed=seed, exact_moments=False)
+        assert monte_carlo_covariance(config, w, trials, direction=direction) == want
 
     def test_deterministic(self):
         config = preset_config("c", n=500, seed=77, exact_moments=False)
