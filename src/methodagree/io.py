@@ -205,6 +205,15 @@ def write_paired(sample: PairedSample) -> str:
 
 # --- JSON reports -----------------------------------------------------------
 
+
+def _finite_points(result: AgreementResult) -> tuple[np.ndarray, np.ndarray]:
+    """The points of ``result`` as two float columns; both emitters refuse a non-finite one here."""
+    xs, ds = np.asarray(result.axis_values, float), np.asarray(result.differences, float)
+    if not (np.isfinite(xs).all() and np.isfinite(ds).all()):
+        raise ValueError("result points must be finite")
+    return xs, ds
+
+
 #: One (axis value, difference) row of the points block, as ``json.dumps``
 #: with ``indent=2`` lays it out at that depth.
 _POINT_ROW = "    [\n      %r,\n      %r\n    ]"
@@ -217,12 +226,11 @@ def emit_report(result: AgreementResult) -> str:
     reconstructs the result exactly. The scalar fields go through
     ``json.dumps(indent=2, sort_keys=True)``; the points block is formatted
     directly from the two columns in the same layout, one ``repr`` per
-    number, which is the text ``json`` writes for a finite float. Points must
-    be finite. The caller writes the text where it wants it.
+    number, which is the text ``json`` writes for a finite float. A
+    non-finite point raises ``ValueError``, as in :func:`render_plot_svg`.
+    The caller writes the text where it wants it.
     """
-    xs, ds = np.asarray(result.axis_values, float), np.asarray(result.differences, float)
-    if not (np.isfinite(xs).all() and np.isfinite(ds).all()):
-        raise ValueError("report points must be finite")
+    xs, ds = _finite_points(result)
     payload = {
         "format": REPORT_FORMAT,
         "version": REPORT_VERSION,
@@ -397,10 +405,10 @@ def render_plot_svg(result: AgreementResult) -> str:
     limit-of-agreement lines and a dotted trend line. The
     viewBox is fixed at 800x600 with 10% data margins; x/y ticks at the
     data extremes carry ``%.6g`` labels, which makes the pixel-to-data
-    mapping recoverable from the document itself.
+    mapping recoverable from the document itself. A non-finite point
+    raises ``ValueError``, as in :func:`emit_report`.
     """
-    xs = result.axis_values
-    ds = result.differences
+    xs, ds = _finite_points(result)
     fit = result.fit
 
     x_data_lo, x_data_hi = float(xs.min()), float(xs.max())
@@ -443,7 +451,7 @@ def render_plot_svg(result: AgreementResult) -> str:
 
     # sx and sy apply to whole columns with the same float operations in the
     # same order as to one value, so every coordinate keeps its bits.
-    cxs, cys = sx(np.asarray(xs, dtype=float)), sy(np.asarray(ds, dtype=float))
+    cxs, cys = sx(xs), sy(ds)
     parts += map(_CIRCLE.__mod__, zip(cxs.tolist(), cys.tolist()))
 
     parts.append(_line("bias", _PLOT_L, sy(result.bias), _PLOT_R, sy(result.bias), "#000000",

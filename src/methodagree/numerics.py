@@ -5,7 +5,8 @@ and exact whitening. Pure functions; no module state, no randomness.
 Only :class:`DegenerateDataError` and :class:`RegressionFit` are package API.
 The public entry points validate arguments; the kernel assumes valid ones and
 checks only what valid input can still hit: a confidence without a quantile
-level, a constant axis, rank-deficient columns.
+level, a constant axis, rank-deficient columns. The reference moments
+``mean``, ``variance`` and ``covariance`` check nothing.
 """
 
 from __future__ import annotations
@@ -23,43 +24,22 @@ class DegenerateDataError(ValueError):
     """Raised when data carries no usable signal (zero variance, rank loss)."""
 
 
-def _as_vector(x, min_len: int = 1, name: str = "x") -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if arr.size < min_len:
-        raise ValueError(f"{name} needs at least {min_len} values, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
-
-
-def _as_pair(x, y, min_len: int) -> tuple[np.ndarray, np.ndarray]:
-    xv = _as_vector(x, min_len, "x")
-    yv = _as_vector(y, min_len, "y")
-    if xv.size != yv.size:
-        raise ValueError(f"length mismatch: x has {xv.size} values, y has {yv.size}")
-    return xv, yv
-
-
-# Not package API: perfbench/spans.py traces mean, variance and covariance by
-# name, and the tests use variance and covariance as references.
+# Not package API and unvalidated: nothing in the package calls mean, variance
+# or covariance. Only perfbench/spans.py, which traces them by name, and the
+# tests, which use variance and covariance as references, keep them.
 def mean(x) -> float:
-    """Arithmetic mean of a nonempty vector."""
-    return float(np.mean(_as_vector(x, 1)))
+    """Arithmetic mean."""
+    return float(np.mean(np.asarray(x, dtype=float)))
 
 
 def variance(x) -> float:
     """Sample variance with divisor n-1."""
-    return float(np.var(_as_vector(x, 2), ddof=1))
+    return float(np.var(np.asarray(x, dtype=float), ddof=1))
 
 
 def covariance(x, y) -> float:
-    """Sample covariance with divisor n-1.
-
-    Both inputs must have the same length, at least 2.
-    """
-    xv, yv = _as_pair(x, y, 2)
+    """Sample covariance with divisor n-1 of two vectors of equal length."""
+    xv, yv = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     return float(np.dot(xv - xv.mean(), yv - yv.mean()) / (xv.size - 1))
 
 

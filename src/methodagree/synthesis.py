@@ -46,7 +46,8 @@ __all__ = [
 
 
 def _require_integer(name: str, value) -> None:
-    if not isinstance(value, (int, np.integer)):  # 100.0 would fail later, inside numpy
+    # 100.0 would fail later, inside numpy; True, a bool and so an int, would run as 1
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

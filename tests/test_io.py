@@ -490,12 +490,15 @@ class TestReports:
         with pytest.raises(ParseError, match="array of finite numbers"):
             parse_report(self._edited(n=4, points=rows))
 
-    def test_emit_rejects_non_finite_points(self):
+    @pytest.mark.parametrize("emit", [emit_report, render_plot_svg], ids=["report", "svg"])
+    @pytest.mark.parametrize("column", ["axis_values", "differences"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_emit_rejects_non_finite_points(self, emit, column, value):
         result = self._result()
-        bad = result.differences.copy()
-        bad[1] = np.inf
-        with pytest.raises(ValueError, match="report points must be finite"):
-            emit_report(replace(result, differences=bad))
+        bad = getattr(result, column).copy()
+        bad[1] = value
+        with pytest.raises(ValueError, match="^result points must be finite$"):
+            emit(replace(result, **{column: bad}))
 
 
 def _reference_report(result: AgreementResult) -> str:

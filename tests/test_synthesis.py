@@ -71,10 +71,17 @@ class TestConfig:
         (lambda: monte_carlo_covariance(preset_config("c", exact_moments=False),
                                         mean_weights(), trials=2.0),
          "trials must be an integer, got 2.0"),
+        (lambda: SyntheticConfig(seed=True), "seed must be an integer, got True"),
+        (lambda: SyntheticConfig(n=True), "n must be an integer, got True"),
+        (lambda: monte_carlo_covariance(preset_config("c", exact_moments=False),
+                                        mean_weights(), trials=True),
+         "trials must be an integer, got True"),
     ], ids=["config-n-float", "preset-n-float", "config-seed-float", "monte-carlo-2.5-trials",
-            "monte-carlo-2.0-trials"])
+            "monte-carlo-2.0-trials", "config-seed-bool", "config-n-bool",
+            "monte-carlo-bool-trials"])
     def test_rejects_counts_that_are_not_integers(self, call, message):
-        # numpy would fail later with "'float' object cannot be interpreted as an integer"
+        # numpy would fail later with "'float' object cannot be interpreted as an integer";
+        # a bool is an int, so True would run as seed 1 or fail later as "need n >= 3"
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
 
