@@ -109,13 +109,13 @@ class ReplicatedSample:
     """
 
     def __init__(self, subject, method, replicate, value):
-        replicate, given = np.asarray(replicate, dtype=np.int64), replicate
+        replicate, given = np.asarray(replicate, dtype=np.int64), np.asarray(replicate)
         value = np.asarray(value, dtype=float)
         if not len(subject) == len(method) == replicate.size == value.size:
             raise ValueError("replicate columns differ in length")
         if not value.size:
             raise ValueError("no replicate records")
-        if not np.array_equal(replicate, given):
+        if given.dtype == bool or not np.array_equal(replicate, given):
             raise ValueError("replicate indices must be integers")
         if not set(method) <= set(METHOD_LABELS):
             first = next(m for m in method if m not in METHOD_LABELS)
@@ -153,9 +153,11 @@ class ReplicatedSample:
 
 
 def _require_finite(obj, *names: str) -> None:
-    for name in names:
-        if not np.isfinite(getattr(obj, name)):
-            raise ValueError(f"{name} must be finite, got {getattr(obj, name)!r}")
+    for name in names:  # a real number, and so neither a bool nor a string
+        value = getattr(obj, name)
+        if (type(value) is bool or not isinstance(value, (int, float, np.integer, np.floating))
+                or not math.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -41,15 +41,6 @@ from .synthesis import CASE_PRESETS, _run_both_axes, preset_config, preset_resul
 __all__ = ["main", "run", "build_parser"]
 
 
-def _bool_flag(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected true or false, got {raw!r}")
-
-
 def _read(path) -> str:
     return Path(path).read_text(encoding="utf-8")
 
@@ -124,7 +115,7 @@ def _cmd_simulate(args) -> int:
         n=args.n,
         sigma_c=args.sigma_c,
         seed=args.seed,
-        exact_moments=args.exact_moments,
+        exact_moments=args.exact_moments == "true",
     )
     sample, classic, weighted = _run_both_axes(config, args.direction)
     out = Path(args.out)
@@ -184,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--sigma-c", dest="sigma_c", type=float, default=10.0)
-    p.add_argument("--exact-moments", dest="exact_moments", type=_bool_flag,
-                   default=True, metavar="{true,false}")
+    p.add_argument("--exact-moments", dest="exact_moments", choices=("true", "false"),
+                   default="true")
     p.add_argument("--direction", choices=[d.value for d in Direction], default="b-a")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_simulate)

@@ -19,10 +19,10 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from decimal import ROUND_HALF_UP, Decimal
 from io import StringIO
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -207,10 +207,14 @@ def write_paired(sample: PairedSample) -> str:
 
 
 def _finite_points(result: AgreementResult) -> tuple[np.ndarray, np.ndarray]:
-    """The points of ``result`` as two float columns; both emitters refuse a non-finite one here."""
+    """The points of ``result`` as float columns; both emitters refuse a non-finite number here."""
     xs, ds = np.asarray(result.axis_values, float), np.asarray(result.differences, float)
     if not (np.isfinite(xs).all() and np.isfinite(ds).all()):
         raise ValueError("result points must be finite")
+    named = [("bias", result.bias), ("loa_low", result.loa_low), ("loa_high", result.loa_high)]
+    for name, value in named + [(f"fit.{k}", v) for k, v in vars(result.fit).items() if k != "df"]:
+        if not math.isfinite(value):
+            raise ValueError(f"result {name} must be finite, got {value!r}")
     return xs, ds
 
 
@@ -227,7 +231,7 @@ def emit_report(result: AgreementResult) -> str:
     ``json.dumps(indent=2, sort_keys=True)``; the points block is formatted
     directly from the two columns in the same layout, one ``repr`` per
     number, which is the text ``json`` writes for a finite float. A
-    non-finite point raises ``ValueError``, as in :func:`render_plot_svg`.
+    non-finite number raises ``ValueError``, as in :func:`render_plot_svg`.
     The caller writes the text where it wants it.
     """
     xs, ds = _finite_points(result)
@@ -264,23 +268,24 @@ def parse_report(text: str) -> AgreementResult:
         raise ParseError(f"invalid report JSON: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != REPORT_FORMAT:
         raise ParseError(f"not a {REPORT_FORMAT} document")
-    if payload.get("version") != REPORT_VERSION:
-        raise ParseError(f"unsupported report version {payload.get('version')!r}; "
-                         f"expected {REPORT_VERSION}")
+    version = payload.get("version")
+    if type(version) is not int or version != REPORT_VERSION:
+        raise ParseError(f"unsupported report version {version!r}; expected {REPORT_VERSION}")
     try:
-        fit = RegressionFit(**payload["fit"])
-        fit = replace(fit, **{name: _json_float(f"fit.{name}", value)
-                              for name, value in asdict(fit).items() if name != "df"})
+        fit = RegressionFit(**{name: value if name == "df" else _json_float(f"fit.{name}", value)
+                               for name, value in {**payload["fit"]}.items()})
         if type(fit.df) is not int or fit.df < 1:
             raise ValueError(f"fit.df must be a positive integer, got {fit.df!r}")
         weights = payload["weights"]
-        if weights is not None:  # a float's finiteness and sign are the pair's own checks
-            weights = WeightPair(**{name: value if type(value) is float
-                                    else _json_float(f"weights.{name}", value)
+        if weights is not None:
+            weights = WeightPair(**{name: _json_float(f"weights.{name}", value)
                                     for name, value in {**weights}.items()})
-        points = np.asarray(payload["points"], dtype=float)
-        if points.ndim != 2 or points.shape[1] != 2 or not np.isfinite(points).all():
+        points = np.asarray(rows := payload["points"], dtype=float)
+        if (points.ndim != 2 or points.shape[1] != 2 or not np.isfinite(points).all()
+                or not set(map(type, chain.from_iterable(rows))) <= {int, float}):
             raise ValueError("points must be an (n, 2) array of finite numbers")
+        if type(payload["n"]) is not int:
+            raise ValueError(f"n must be an integer, got {payload['n']!r}")
         if payload["n"] != len(points):
             raise ValueError(f"n is {payload['n']!r} but there are {len(points)} points")
         return AgreementResult(
@@ -292,7 +297,7 @@ def parse_report(text: str) -> AgreementResult:
             differences=points[:, 1],
             **{name: _json_float(name, payload[name]) for name in ("bias", "loa_low", "loa_high")},
         )
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed report document: {exc}") from None
 
 
@@ -405,7 +410,7 @@ def render_plot_svg(result: AgreementResult) -> str:
     limit-of-agreement lines and a dotted trend line. The
     viewBox is fixed at 800x600 with 10% data margins; x/y ticks at the
     data extremes carry ``%.6g`` labels, which makes the pixel-to-data
-    mapping recoverable from the document itself. A non-finite point
+    mapping recoverable from the document itself. A non-finite number
     raises ``ValueError``, as in :func:`emit_report`.
     """
     xs, ds = _finite_points(result)

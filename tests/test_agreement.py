@@ -106,21 +106,36 @@ class TestDomainTypes:
             ReplicatedSample(["s1"] * 4, ["A", "A", "B", "B"], [1.2, 1.7, 1, 2],
                              [1.0, 2.0, 3.0, 4.0])
 
+    @pytest.mark.parametrize("column", [[True, False, True, False],
+                                        np.array([True, True, False, False])],
+                                ids=["list", "array"])
+    def test_replicated_rejects_boolean_replicate_indices(self, column):
+        with pytest.raises(ValueError, match="^replicate indices must be integers$"):
+            ReplicatedSample(["s1"] * 4, ["A", "A", "B", "B"], column, [1.0, 2.0, 3.0, 4.0])
+
     def test_replicated_rejects_ragged_columns(self):
         with pytest.raises(ValueError, match="differ in length"):
             ReplicatedSample(["s1", "s1"], ["A", "A"], [1, 2], [1.0])
 
     @pytest.mark.parametrize("field", ["s_wa2", "s_wb2"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True, np.True_, "1", None])
     def test_variances_must_be_finite(self, field, bad):
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
+        message = f"{field} must be finite, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             WithinSubjectVariance(**{"s_wa2": 1.0, "s_wb2": 1.0, field: bad})
 
     @pytest.mark.parametrize("field", ["alpha", "beta"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, True, False, [1.0]])
     def test_weights_must_be_finite(self, field, bad):
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
+        message = f"{field} must be finite, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             WeightPair(**{"alpha": 1.0, "beta": 1.0, field: bad})
+
+    @pytest.mark.parametrize("value", [2, np.int64(2), np.float32(2.0), np.float64(2.0),
+                                       np.longdouble(2.0)])
+    def test_numbers_of_any_real_type_are_accepted(self, value):
+        assert WithinSubjectVariance(value, 1.0).s_wa2 == 2.0
+        assert WeightPair(1.0, value).beta == 2.0
 
     def test_variances_must_not_both_vanish(self):
         with pytest.raises(ValueError, match="degenerate weights"):

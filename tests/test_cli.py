@@ -184,6 +184,11 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("error: confidence 0.9999999999999999 is too close to 1: ")
 
+    def test_confidence_outside_the_unit_interval(self, paired_csv, capsys):
+        code = main(["analyze", "--input", str(paired_csv), "--classic", "--confidence", "1.5"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: confidence must lie in (0, 1), got 1.5\n"
+
     @pytest.mark.parametrize("flags, code", [(["--classic"], 0), ([], 2)],
                              ids=["classic", "weighted"])
     def test_replicates_without_spread(self, tmp_path, capsys, flags, code):
@@ -266,20 +271,26 @@ class TestSimulate:
         sample = parse_paired((out / "pairs.csv").read_text(encoding="utf-8"))
         assert sample.n == 50
 
-    @pytest.mark.parametrize("raw, exact", [
-        ("false", False), ("0", False), ("no", False), ("off", False), ("TRUE", True),
-    ])
+    @pytest.mark.parametrize("raw, exact", [("true", True), ("false", False)])
     def test_exact_moments_flag(self, raw, exact, tmp_path, capsys):
         out = tmp_path / "sim"
         assert main(["simulate", "--case", "d", "--exact-moments", raw, "--out", str(out)]) == 0
         want = write_paired(generate(preset_config("d", exact_moments=exact)))
         assert (out / "pairs.csv").read_bytes() == want.encode()
 
+    def test_exact_moments_flag_defaults_to_true(self, tmp_path, capsys):
+        for flags in ([], ["--exact-moments", "true"]):
+            main(["simulate", "--case", "d", *flags, "--out", str(tmp_path / str(len(flags)))])
+        for name in ("pairs.csv", "report_weighted.json", "plot_mean.svg"):
+            assert (tmp_path / "0" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
     def test_exact_moments_flag_rejects_other_words(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--case", "d", "--exact-moments", "maybe", "--out", str(tmp_path)])
-        assert exc.value.code == 2
-        assert "expected true or false" in capsys.readouterr().err
+        for raw in ("maybe", "TRUE", "yes", "1", "off"):
+            with pytest.raises(SystemExit) as exc:
+                main(["simulate", "--case", "d", "--exact-moments", raw, "--out", str(tmp_path)])
+            assert exc.value.code == 2
+            assert f"argument --exact-moments: invalid choice: {raw!r}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_bad_case_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

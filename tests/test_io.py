@@ -411,7 +411,7 @@ class TestReports:
             parse_report(self._edited(direction="sideways"))
 
     def test_rejects_non_finite_weight(self):
-        with pytest.raises(ParseError, match="alpha must be finite"):
+        with pytest.raises(ParseError, match="weights.alpha must be a finite number, got inf"):
             parse_report(self._edited(weights={"alpha": float("inf"), "beta": 1.0}))
 
     def test_rejects_other_version(self):
@@ -479,6 +479,34 @@ class TestReports:
         with pytest.raises(ParseError, match="n is 99 but there are 4 points"):
             parse_report(self._edited(n=99, points=self.FOUR_POINTS))
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1", None])
+    def test_version_is_the_json_integer_1(self, version):
+        message = f"^unsupported report version {re.escape(repr(version))}; expected 1$"
+        with pytest.raises(ParseError, match=message):
+            parse_report(self._edited(version=version))
+
+    @pytest.mark.parametrize("n, points", [(4.0, FOUR_POINTS), (True, FOUR_POINTS[:1]),
+                                           ("4", FOUR_POINTS)], ids=["float", "bool", "string"])
+    def test_count_is_a_json_integer(self, n, points):
+        message = f"malformed report document: n must be an integer, got {n!r}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_report(self._edited(n=n, points=points))
+
+    @pytest.mark.parametrize("coordinate, message", [
+        ("1.5", "points must be an (n, 2) array of finite numbers"),
+        (True, "points must be an (n, 2) array of finite numbers"),
+        (None, "points must be an (n, 2) array of finite numbers"),
+        (10**400, "int too large to convert to float"),
+    ], ids=["string", "bool", "null", "huge-int"])
+    def test_points_are_json_numbers(self, coordinate, message):
+        rows = [[coordinate, 2.0]] + self.FOUR_POINTS[1:]
+        with pytest.raises(ParseError, match=f"^malformed report document: {re.escape(message)}$"):
+            parse_report(self._edited(n=4, points=rows))
+
+    def test_integral_points_are_numbers(self):
+        back = parse_report(self._edited(n=4, points=[[1, 0], [2, -1], [3, 1.5], [4, 0.0]]))
+        assert back.axis_values.tolist() == [1.0, 2.0, 3.0, 4.0]
+
     def test_rejects_rows_of_three_numbers(self):
         rows = [row + [7.0] for row in self.FOUR_POINTS]
         with pytest.raises(ParseError, match=re.escape("points must be an (n, 2) array")):
@@ -499,6 +527,21 @@ class TestReports:
         bad[1] = value
         with pytest.raises(ValueError, match="^result points must be finite$"):
             emit(replace(result, **{column: bad}))
+
+    @pytest.mark.parametrize("emit", [emit_report, render_plot_svg], ids=["report", "svg"])
+    @pytest.mark.parametrize("name", ["bias", "loa_low", "loa_high", "fit.slope", "fit.intercept",
+                                      "fit.slope_se", "fit.ci_low", "fit.ci_high", "fit.r",
+                                      "fit.p_value"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_emit_rejects_non_finite_numbers(self, emit, name, value):
+        result = self._result("weighted", WithinSubjectVariance(0.25, 20.25))
+        if name.startswith("fit."):
+            result = replace(result, fit=replace(result.fit, **{name[4:]: value}))
+        else:
+            result = replace(result, **{name: value})
+        with pytest.raises(ValueError, match=f"^result {re.escape(name)} must be finite, got "
+                                             f"{re.escape(repr(value))}$"):
+            emit(result)
 
 
 def _reference_report(result: AgreementResult) -> str:

@@ -248,8 +248,10 @@ class TestLinearFit:
             assert fit.ci_low <= fit.slope <= fit.ci_high
 
     def test_confidence_domain(self):
-        with pytest.raises(ValueError):
-            linear_fit([1, 2, 3], [1, 2, 3], confidence=1.0)
+        # the quantile-level check also refuses 1.0; the other values reach only this one
+        for confidence in (0.0, -0.5, 1.5, math.nan, 1.0):
+            with pytest.raises(ValueError, match=r"^confidence must lie in \(0, 1\), got "):
+                linear_fit([1, 2, 3], [1, 2, 3], confidence=confidence)
 
     @pytest.mark.parametrize("scale", [1e160, 1e-170])
     def test_far_from_unit_scale(self, scale):

@@ -103,9 +103,9 @@ class TestConfig:
             SyntheticConfig(sigma_c=0.0)
 
     @pytest.mark.parametrize("name", ["k_a", "k_b", "s_a", "s_b", "sigma_c"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), True, "1.0"])
     def test_non_finite_parameter_rejected(self, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
             SyntheticConfig(**{name: value})
 
 
