@@ -155,8 +155,13 @@ class ReplicatedSample:
 def _require_finite(obj, *names: str) -> None:
     for name in names:  # a real number, and so neither a bool nor a string
         value = getattr(obj, name)
-        if (type(value) is bool or not isinstance(value, (int, float, np.integer, np.floating))
-                or not math.isfinite(value)):
+        try:
+            finite = (type(value) is not bool
+                      and isinstance(value, (int, float, np.integer, np.floating))
+                      and math.isfinite(value))
+        except OverflowError:  # an int beyond the largest double
+            finite = False
+        if not finite:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
@@ -298,6 +303,12 @@ def general_covariance_identity(
     return (alpha * var_a - beta * var_b + (beta - alpha) * cov_ab) / (alpha + beta)
 
 
+def _require_no_overflow(*values: float) -> None:
+    # float arithmetic overflows to inf silently, where math.ldexp raises
+    if not all(map(math.isfinite, values)):
+        raise OverflowError
+
+
 def analyze(
     sample: PairedSample,
     *,
@@ -339,30 +350,33 @@ def analyze(
     if axis is AxisKind.WEIGHTED_AVERAGE and variances is None:
         raise ValueError("weighted-average axis requires within-subject variances")
     weights = None if axis is AxisKind.ARITHMETIC_MEAN else WeightPair.from_variances(variances)
-    with np.errstate(over="raise"):
-        try:  # ``what`` names the step that overflows
+    try:  # ``what`` names the step that overflows
+        with np.errstate(over="raise"):
             what = f"the difference {direction.value}"
             diffs = a - b if direction is Direction.A_MINUS_B else b - a
             what = "the sum a + b of the mean axis" if weights is None else "the weighted average"
             axis_values = (a + b) / 2.0 if weights is None else weighted_average(a, b, variances)
-        except FloatingPointError:
-            raise ValueError(f"{what} overflows the largest double; "
-                             "rescale the measurements") from None
-
-    try:
+        what = "the trend fit"
         fit = linear_fit(axis_values, diffs, confidence=confidence)
+        _require_no_overflow(fit.slope, fit.intercept, fit.slope_se, fit.ci_low, fit.ci_high)
+        what = "the limits of agreement"
+        bias, centred, shift = _centred(diffs)
+        sd = math.ldexp(math.sqrt(np.dot(centred, centred) / (diffs.size - 1)), -shift)
+        loa_low, loa_high = bias - LOA_MULTIPLIER * sd, bias + LOA_MULTIPLIER * sd
+        _require_no_overflow(loa_low, loa_high)
     except DegenerateDataError:
         raise DegenerateDataError("axis values are constant; nothing to plot against") from None
+    except (FloatingPointError, OverflowError):
+        raise ValueError(f"{what} overflows the largest double; "
+                         "rescale the measurements") from None
 
-    bias, centred, shift = _centred(diffs)
-    sd = math.ldexp(math.sqrt(np.dot(centred, centred) / (diffs.size - 1)), -shift)
     return AgreementResult(
         direction=direction,
         axis=axis,
         weights=weights,
         bias=bias,
-        loa_low=bias - LOA_MULTIPLIER * sd,
-        loa_high=bias + LOA_MULTIPLIER * sd,
+        loa_low=loa_low,
+        loa_high=loa_high,
         fit=fit,
         axis_values=axis_values,
         differences=diffs,

@@ -1,23 +1,24 @@
-"""Deterministic synthetic paired-measurement generator.
+"""Deterministic synthetic paired-measurement generator and Monte Carlo check.
 
 Builds measurement pairs a = k_a * c + s_a * e_a, b = k_b * c + s_b * e_b
 from a shared signal c and independent errors, either with *exact* sample
 moments (the three underlying signals are whitened so their sample means,
 variances and covariances hit their nominal values exactly, making every
-downstream statistic seed-independent) or as plain independent draws for
-Monte Carlo work.
+downstream statistic seed-independent) or as plain independent draws.
+:func:`monte_carlo_covariance` samples cov(difference, weighted axis) without
+building the pairs: each trial's 2x2 scatter matrix is Wishart, drawn exactly
+by Bartlett's decomposition from two uniforms.
 
 Draws are reproducible across runs and platforms: uniform variates come
-from a seeded PCG64 stream and are mapped through the inverse normal CDF.
+from a seeded PCG64 stream, whose raw output numpy keeps stable, and are
+mapped through inverse CDFs (normal; chi-square for the Monte Carlo draw).
 """
-
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import gammaincinv, ndtri
 
 from .agreement import (
     AgreementResult,
@@ -112,95 +113,11 @@ def preset_config(label: str, **fields) -> SyntheticConfig:
     return SyntheticConfig(**params, **fields)
 
 
-#: Doubles of uniforms per Monte Carlo block (128 KiB): enough trials to
-#: amortise numpy's per-call overhead at small n, one trial at large n.
-_MC_BLOCK_DOUBLES = 2**14
-
-# Constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx:
-# hashmix, mix, mix_entropy, generate_state) and of PCG64's seeding
-# (pcg64_set_seed, which runs pcg_setseq_128_srandom_r with the 128-bit LCG
-# multiplier below).
-_MASK32 = 0xFFFF_FFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _hasher(hash_const: int, mult: int):
-    """numpy's ``hashmix`` with its running constant, over np.uint32 arrays.
-
-    The constant evolves independently of the data, so it stays a Python int
-    masked to 32 bits. Every operand of the hash is an np.uint32 array or
-    scalar: arrays wrap mod 2**32 without a warning (a numpy-scalar overflow
-    would warn), and the promotion is the same under legacy rules and NEP 50.
-    """
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * mult & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> _XSHIFT)
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return result ^ (result >> _XSHIFT)
-
-
-def _spawned_pcg64_states(seed: int, count: int) -> Iterator[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of ``SeedSequence(seed).spawn(count)[i]``, for each i.
-
-    The SeedSequence hash runs once, vectorised over the spawn index i: the
-    entropy is the seed's 32-bit words, zero-padded to the pool size, then
-    the word i (one word while i < 2**32). Only the last 128-bit seeding step
-    runs per trial, as the states are consumed.
-    """
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL_SIZE - len(words))
-    entropy = [np.array([word], dtype=np.uint32) for word in words]
-    entropy.append(np.arange(count, dtype=np.uint32))
-
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-
-    # generate_state(4, np.uint64): eight words cycling over the pool, read
-    # pairwise as little-endian uint64 (low word first)
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    state_words = np.stack([hashmix(pool[i % _POOL_SIZE]) for i in range(8)], axis=1)
-    seeds = state_words.astype("<u4").view("<u8")
-
-    for state_hi, state_lo, seq_hi, seq_lo in seeds.tolist():
-        # pcg_setseq_128_srandom_r: state 0, inc = seq << 1 | 1, step,
-        # add the initial state, step
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        state = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128
-        yield state, inc
-
-
 def _to_normals(u: np.ndarray) -> np.ndarray:
     # Inverse-CDF transform of PCG64 uniforms, in place; the raw uniform
     # stream is stable across numpy releases, unlike the ziggurat sampler.
     np.maximum(u, 2.0**-54, out=u)
     return ndtri(u, out=u)
-
-
-def _measurements(config: SyntheticConfig, signals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    c = config.sigma_c * signals[..., 0]
-    a = config.k_a * c + config.s_a * signals[..., 1]
-    b = config.k_b * c + config.s_b * signals[..., 2]
-    return a, b
 
 
 def generate(config: SyntheticConfig) -> PairedSample:
@@ -209,8 +126,9 @@ def generate(config: SyntheticConfig) -> PairedSample:
     signals = _to_normals(rng.random((config.n, 3)))
     if config.exact_moments:
         signals = orthonormalize(signals)
-    a, b = _measurements(config, signals)
-    return PairedSample(a=a, b=b)
+    c = config.sigma_c * signals[:, 0]
+    return PairedSample(a=config.k_a * c + config.s_a * signals[:, 1],
+                        b=config.k_b * c + config.s_b * signals[:, 2])
 
 
 @dataclass(frozen=True)
@@ -272,15 +190,19 @@ def monte_carlo_covariance(
     direction: Direction | str = Direction.A_MINUS_B,
 ) -> tuple[float, float]:
     """Mean and standard error of sample cov(difference, weighted axis)
-    across independently seeded trials.
+    across independent trials.
 
     Requires ``exact_moments`` off: whitening would tie the draws to their
-    nominal moments and defeat the sampling experiment. Trial i draws its
-    uniforms from the stream of ``SeedSequence(config.seed).spawn(trials)[i]``,
-    so the result is deterministic and trials are independent. The PCG64
-    states of all trials are derived in one vectorised pass, and one
-    generator is set to each in turn. Trials are then transformed and reduced
-    in blocks, which matches a trial-by-trial evaluation to rounding.
+    nominal moments and defeat the sampling experiment. The axis and the
+    difference are linear in the three standard-normal signals, with
+    coefficient vectors v and u, so a trial's 2x2 scatter matrix of (axis,
+    difference) over n subjects is Wishart(n - 1, Sigma), Sigma the Gram
+    matrix of v and u. Bartlett's decomposition gives its off-diagonal exactly,
+    from a chi-square variate with m = n - 1 degrees of freedom and a
+    standard normal z: cov = ((u.v) * chi2 + |u x v| * sqrt(chi2) * z) / m.
+    Trial i maps uniforms 2i and 2i + 1 of ``default_rng(config.seed)``
+    through the inverse chi-square and inverse normal CDFs, so the result is
+    deterministic and each trial costs O(1), whatever n.
     """
     if config.exact_moments:
         raise ValueError("monte_carlo_covariance needs exact_moments=False")
@@ -289,26 +211,17 @@ def monte_carlo_covariance(
         raise ValueError(f"need at least 2 trials, got {trials}")
     direction = Direction(direction)
 
-    n = config.n
     sign = 1.0 if direction is Direction.A_MINUS_B else -1.0
     alpha, beta = _unit_scaled(w)
-    states = _spawned_pcg64_states(int(config.seed), int(trials))
-    bit_generator = np.random.PCG64(0)  # its state is set before each trial
-    rng = np.random.Generator(bit_generator)
-    block = np.empty((max(1, _MC_BLOCK_DOUBLES // (3 * n)), n, 3))
-    covs = np.empty(trials)
-    for start in range(0, trials, len(block)):
-        u = block[: trials - start]
-        for out, (state, inc) in zip(u, states):
-            bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-            rng.random(out=out)
-        a, b = _measurements(config, _to_normals(u))
-        d = sign * (a - b)
-        axis = (alpha * a + beta * b) / (alpha + beta)
-        d -= d.mean(axis=1, keepdims=True)
-        axis -= axis.mean(axis=1, keepdims=True)
-        covs[start : start + len(u)] = np.einsum("ij,ij->i", d, axis) / (n - 1)
+    c = config.sigma_c
+    v = np.array([c * (alpha * config.k_a + beta * config.k_b),
+                  alpha * config.s_a, beta * config.s_b]) / (alpha + beta)
+    u = sign * np.array([c * (config.k_a - config.k_b), config.s_a, -config.s_b])
+    m = config.n - 1
+    uniforms = np.random.default_rng(config.seed).random((trials, 2))
+    chi2 = 2.0 * gammaincinv(m / 2, uniforms[:, 0])
+    covs = ((u @ v) * chi2 + np.linalg.norm(np.cross(u, v)) * np.sqrt(chi2)
+            * _to_normals(uniforms[:, 1])) / m
     return float(covs.mean()), float(covs.std(ddof=1) / np.sqrt(trials))
 
 

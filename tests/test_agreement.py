@@ -124,6 +124,14 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             WithinSubjectVariance(**{"s_wa2": 1.0, "s_wb2": 1.0, field: bad})
 
+    def test_int_beyond_the_largest_double_is_not_finite(self):
+        # math.isfinite raises OverflowError on it; the variances and the synthetic
+        # config share the check, so both name the field instead
+        with pytest.raises(ValueError, match="^s_wa2 must be finite, got 1000"):
+            WithinSubjectVariance(10**400, 1.0)
+        with pytest.raises(ValueError, match="^sigma_c must be finite, got 1000"):
+            preset_config("c", sigma_c=10**400)
+
     @pytest.mark.parametrize("field", ["alpha", "beta"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, True, False, [1.0]])
     def test_weights_must_be_finite(self, field, bad):

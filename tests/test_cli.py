@@ -153,6 +153,15 @@ class TestAnalyze:
         assert err == ("error: the sum a + b of the mean axis overflows the largest double; "
                        "rescale the measurements\n" if code else "")
 
+    def test_overflowing_slope_exits_2(self, tmp_path, capsys):
+        # the axis is a, near 1e-300, and the difference near 1e300: the slope overflows
+        path = tmp_path / "big.csv"
+        path.write_text("subject,a,b\n1,1e-300,1e300\n2,2e-300,-1e300\n"
+                        "3,3e-300,5e299\n4,4e-300,2e299\n", encoding="utf-8")
+        assert main(["analyze", "--input", str(path), "--swa", "0", "--swb", "1"]) == 2
+        assert capsys.readouterr().err == ("error: the trend fit overflows the largest double; "
+                                           "rescale the measurements\n")
+
     def test_constant_axis_exits_3(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import gammaincinv, ndtri
 
 from methodagree.agreement import (
     AxisKind,
@@ -17,7 +17,6 @@ from methodagree.synthesis import (
     monte_carlo_covariance,
     preset_config,
     preset_results,
-    _spawned_pcg64_states,
 )
 
 
@@ -293,9 +292,39 @@ class TestPresetResults:
             assert weighted.fit.r == pytest.approx(classic.fit.r, abs=1e-9)
 
 
+def signal_coefficients(config, w, direction):
+    """Rows (axis, difference) of their coefficients on the standard-normal
+    signals (c / sigma_c, e_a, e_b), built from the measurement formulas."""
+    sign = 1.0 if Direction(direction) is Direction.A_MINUS_B else -1.0
+    a = np.array([config.sigma_c * config.k_a, config.s_a, 0.0])
+    b = np.array([config.sigma_c * config.k_b, 0.0, config.s_b])
+    return np.stack([(w.alpha * a + w.beta * b) / (w.alpha + w.beta), sign * (a - b)])
+
+
+def bartlett_reference(config, w, trials, direction):
+    """The documented stream contract, one trial at a time: trial i maps
+    uniforms 2i and 2i + 1 of ``default_rng(seed)`` to chi2(n - 1) and N(0, 1),
+    the first column of a Bartlett factor A of Wishart(n - 1, Sigma). A's last
+    entry, chi2(n - 2), comes from later uniforms and leaves the covariance as is."""
+    m = config.n - 1
+    coefficients = signal_coefficients(config, w, direction)
+    factor = np.linalg.cholesky(coefficients @ coefficients.T)
+    rng = np.random.default_rng(config.seed)
+    uniforms, later = rng.random((trials, 2)), rng.random(trials)
+    covs = []
+    for (u_chi2, u_normal), u_last in zip(uniforms, later):
+        A = np.array([[np.sqrt(2.0 * gammaincinv(m / 2, u_chi2)), 0.0],
+                      [ndtri(max(u_normal, 2.0**-54)),
+                       np.sqrt(2.0 * gammaincinv((m - 1) / 2, u_last))]])
+        scatter = factor @ A @ A.T @ factor.T
+        covs.append(scatter[0, 1] / m)
+    return np.mean(covs), np.std(covs, ddof=1) / np.sqrt(trials)
+
+
 def per_trial_reference(config, w, trials, direction):
-    """The documented stream contract, one trial at a time: each spawned seed
-    draws an (n, 3) block of uniforms, mapped to normals by the inverse CDF."""
+    """Brute force on the sample path: each trial draws n (c, e_a, e_b) normal
+    triples from its own spawned stream, builds the pairs and takes the sample
+    covariance of the difference and the axis."""
     sign = 1.0 if Direction(direction) is Direction.A_MINUS_B else -1.0
     covs = []
     for child in np.random.SeedSequence(config.seed).spawn(trials):
@@ -311,7 +340,10 @@ def per_trial_reference(config, w, trials, direction):
 
 
 class TestSpawnedStates:
-    """The vectorised seeding against numpy's own SeedSequence spawning and PCG64 seeding."""
+    """Seeds of every width reach numpy's own seeding unchanged: trial i draws
+    uniforms 2i and 2i + 1 of ``default_rng(seed)``, whatever the trial count.
+    (The names date from when each trial had a state spawned from
+    ``SeedSequence(seed)``.)"""
 
     @pytest.mark.parametrize("count", [1, 2, 257])
     @pytest.mark.parametrize("seed", [
@@ -319,14 +351,17 @@ class TestSpawnedStates:
         2**32 - 1,  # one 32-bit word
         2**32,  # two words
         2**64 + 5,  # three words
-        2**160 + 3,  # six words, seven with the spawn index: mixing runs past the pool
+        2**160 + 3,  # six words
         np.uint64(2**63 + 11),
     ], ids=["0", "2^32-1", "2^32", "2^64+5", "2^160+3", "numpy-uint64"])
     def test_matches_numpy_spawn(self, seed, count):
-        states = [np.random.PCG64(child).state["state"]
-                  for child in np.random.SeedSequence(seed).spawn(count)]
-        want = [(state["state"], state["inc"]) for state in states]
-        assert list(_spawned_pcg64_states(int(seed), count)) == want
+        # count trials after the first: a standard error needs two
+        config = preset_config("d", n=10, seed=seed, exact_moments=False)
+        w, trials = WeightPair(3.0, 1.0), count + 1
+        np.testing.assert_allclose(
+            monte_carlo_covariance(config, w, trials),
+            bartlett_reference(config, w, trials, "a-b"), rtol=1e-12,
+        )
 
 
 class TestMonteCarlo:
@@ -337,8 +372,8 @@ class TestMonteCarlo:
     @pytest.mark.parametrize(
         "label, n, trials, w, direction",
         [
-            ("c", 100, 257, WeightPair(1.0, 1.0), "a-b"),  # several blocks, short last
-            ("c", 20_000, 3, WeightPair(1.0, 1.0), "a-b"),  # one trial per block
+            ("c", 100, 257, WeightPair(1.0, 1.0), "a-b"),
+            ("c", 20_000, 3, WeightPair(1.0, 1.0), "a-b"),  # cost independent of n
             ("d", 50, 30, WeightPair(3.0, 1.0), "a-b"),
             ("d", 50, 30, WeightPair(3.0, 1.0), "b-a"),
         ],
@@ -347,22 +382,50 @@ class TestMonteCarlo:
         config = preset_config(label, n=n, seed=n + trials, exact_moments=False)
         got = monte_carlo_covariance(config, w, trials, direction=direction)
         np.testing.assert_allclose(
-            got, per_trial_reference(config, w, trials, direction), rtol=1e-12
+            got, bartlett_reference(config, w, trials, direction), rtol=1e-12
         )
+
+    @pytest.mark.parametrize("label", ["c", "d"])
+    def test_agrees_with_the_sample_path(self, label):
+        # n = 4 gives chi2(3), far from normal, where a wrong distribution would show
+        config = preset_config(label, n=4, seed=21, exact_moments=False)
+        w = WeightPair(0.0, 1.0)
+        mean_cov, se = monte_carlo_covariance(config, w, 2000)
+        ref_cov, ref_se = per_trial_reference(config, w, 2000, "a-b")
+        assert abs(mean_cov - ref_cov) < 4.0 * np.hypot(se, ref_se)
+        # over 60 seeds the ratio spreads by about 3.5%; the bounds are six or more spreads away
+        assert 0.8 < se / ref_se < 1.25
 
     @pytest.mark.parametrize("label, n, trials, seed, w, direction, want", [
         ("c", 100, 2000, 335381117, WeightPair(1.0, 1.0), "a-b",
-         (-10.456965080892015, 0.10541081254828562)),
-        ("d", 50, 257, 7, WeightPair(3.0, 1.0), "b-a", (-4.887767107692764, 0.3910225994191788)),
+         (-9.907401163412484, 0.10644512825053304)),
+        ("d", 50, 257, 7, WeightPair(3.0, 1.0), "b-a", (-4.4568839774957425, 0.38463883459737397)),
         ("a", 30, 3, 2**160 + 3, WeightPair(1.0, 2.0), "a-b",
-         (-4.2792142748427375, 3.0960986394704246)),
+         (2.7780759978104057, 3.972214815842854)),
         ("c", 100, 40, 0, WeightPair(20.25, 0.25), "a-b",
-         (-1.2346081075001254, 0.7826254683487774)),
+         (0.058109737864113754, 0.8834252112823637)),
     ])
     def test_pinned_values(self, label, n, trials, seed, w, direction, want):
-        # values of the SeedSequence.spawn + default_rng implementation; every bit must stay
+        # values of the Bartlett draw from default_rng(seed) uniforms through gammaincinv and
+        # ndtri; every bit must stay
         config = preset_config(label, n=n, seed=seed, exact_moments=False)
         assert monte_carlo_covariance(config, w, trials, direction=direction) == want
+
+    @pytest.mark.parametrize("label", ["a", "b", "c", "d"])
+    @pytest.mark.parametrize("n", [4, 100])
+    def test_standard_error_is_exact(self, label, n):
+        # S_01 of S ~ Wishart(m, Sigma) has variance m * (Sigma_01**2 + Sigma_00 * Sigma_11),
+        # so one trial's covariance S_01 / m has that over m**2. At 2,000 trials the sampled
+        # SE spreads by about 2.5% (n = 4) or 1.6% (n = 100) around the exact one (300 seeds,
+        # three weightings); 15% is six of those spreads or more.
+        config = preset_config(label, n=n, seed=n, exact_moments=False)
+        w, trials = WeightPair(1.0, 3.0), 2000
+        coefficients = signal_coefficients(config, w, "a-b")
+        sigma = coefficients @ coefficients.T
+        exact_se = np.sqrt((sigma[0, 1] ** 2 + sigma[0, 0] * sigma[1, 1]) / ((n - 1) * trials))
+        mean_cov, se = monte_carlo_covariance(config, w, trials)
+        assert abs(se / exact_se - 1.0) < 0.15
+        assert abs(mean_cov - sigma[0, 1]) < 4.0 * exact_se
 
     def test_deterministic(self):
         config = preset_config("c", n=500, seed=77, exact_moments=False)
