@@ -12,6 +12,7 @@ and the closed-form covariance predictor that quantifies the artifact.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 
@@ -152,17 +153,24 @@ class ReplicatedSample:
         self._counts, self._means, self._s_w2 = counts, means, s_w2
 
 
-def _require_finite(obj, *names: str) -> None:
-    for name in names:  # a real number, and so neither a bool nor a string
-        value = getattr(obj, name)
-        try:
-            finite = (type(value) is not bool
-                      and isinstance(value, (int, float, np.integer, np.floating))
-                      and math.isfinite(value))
-        except OverflowError:  # an int beyond the largest double
-            finite = False
-        if not finite:
-            raise ValueError(f"{name} must be finite, got {value!r}")
+def _real(name: str, value):
+    """``value`` if it is a finite Python or numpy int or float, and not a bool."""
+    try:  # isinstance first: no comparison that numpy could warn about
+        finite = (type(value) is not bool
+                  and isinstance(value, (int, float, np.integer, np.floating))
+                  and math.isfinite(value))
+    except OverflowError:  # an int beyond the largest double
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {reprlib.repr(value)}")
+    return value
+
+
+def _integer(name: str, value):
+    """``value`` if it is a Python or numpy int, and not a bool, which would count as 0 or 1."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -173,8 +181,7 @@ class WithinSubjectVariance:
     s_wb2: float
 
     def __post_init__(self):
-        _require_finite(self, "s_wa2", "s_wb2")
-        if self.s_wa2 < 0.0 or self.s_wb2 < 0.0:
+        if min(_real("s_wa2", self.s_wa2), _real("s_wb2", self.s_wb2)) < 0.0:
             raise ValueError("within-subject variances must be nonnegative")
         if self.s_wa2 == 0.0 and self.s_wb2 == 0.0:
             raise ValueError("degenerate weights: both within-subject variances are zero")
@@ -188,8 +195,7 @@ class WeightPair:
     beta: float
 
     def __post_init__(self):
-        _require_finite(self, "alpha", "beta")
-        if self.alpha < 0.0 or self.beta < 0.0:
+        if min(_real("alpha", self.alpha), _real("beta", self.beta)) < 0.0:
             raise ValueError("weights must be nonnegative")
         if self.alpha + self.beta <= 0.0:
             raise ValueError("degenerate weights: alpha + beta must be positive")
@@ -297,6 +303,7 @@ def general_covariance_identity(
     Pure algebra, valid for any joint distribution:
     (alpha*var_a - beta*var_b + (beta - alpha)*cov_ab) / (alpha + beta).
     """
+    var_a, var_b, cov_ab = _real("var_a", var_a), _real("var_b", var_b), _real("cov_ab", cov_ab)
     if var_a < 0.0 or var_b < 0.0:
         raise ValueError("variances must be nonnegative")
     alpha, beta = _unit_scaled(w)
@@ -343,6 +350,7 @@ def analyze(
         trend fit of the differences on the axis values, and the plotted
         points.
     """
+    _real("confidence", confidence)
     axis = AxisKind(axis)
     direction = Direction(direction)
     a, b = sample.a, sample.b
@@ -356,9 +364,11 @@ def analyze(
             diffs = a - b if direction is Direction.A_MINUS_B else b - a
             what = "the sum a + b of the mean axis" if weights is None else "the weighted average"
             axis_values = (a + b) / 2.0 if weights is None else weighted_average(a, b, variances)
-        what = "the trend fit"
+        what = "the trend slope"
         fit = linear_fit(axis_values, diffs, confidence=confidence)
-        _require_no_overflow(fit.slope, fit.intercept, fit.slope_se, fit.ci_low, fit.ci_high)
+        _require_no_overflow(fit.slope, fit.slope_se, fit.ci_low, fit.ci_high)
+        what = "the trend intercept"
+        _require_no_overflow(fit.intercept)
         what = "the limits of agreement"
         bias, centred, shift = _centred(diffs)
         sd = math.ldexp(math.sqrt(np.dot(centred, centred) / (diffs.size - 1)), -shift)
@@ -367,8 +377,10 @@ def analyze(
     except DegenerateDataError:
         raise DegenerateDataError("axis values are constant; nothing to plot against") from None
     except (FloatingPointError, OverflowError):
-        raise ValueError(f"{what} overflows the largest double; "
-                         "rescale the measurements") from None
+        # the slope, its SE and CI are ratios of differences to axis values: scale-free
+        cure = ("the axis values barely vary next to the differences, at any scale"
+                if what == "the trend slope" else "rescale the measurements")
+        raise ValueError(f"{what} overflows the largest double; {cure}") from None
 
     return AgreementResult(
         direction=direction,

@@ -32,6 +32,8 @@ from .agreement import (
     PairedSample,
     ReplicatedSample,
     WeightPair,
+    _integer,
+    _real,
 )
 from .numerics import RegressionFit, _pow2_shift
 
@@ -213,8 +215,7 @@ def _finite_points(result: AgreementResult) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("result points must be finite")
     named = [("bias", result.bias), ("loa_low", result.loa_low), ("loa_high", result.loa_high)]
     for name, value in named + [(f"fit.{k}", v) for k, v in vars(result.fit).items() if k != "df"]:
-        if not math.isfinite(value):
-            raise ValueError(f"result {name} must be finite, got {value!r}")
+        _real(f"result {name}", value)
     return xs, ds
 
 
@@ -253,13 +254,6 @@ def emit_report(result: AgreementResult) -> str:
     return text.replace('"points": []', f'"points": [\n{rows}\n  ]', 1)
 
 
-def _json_float(name: str, value) -> float:
-    # JSON numbers only, and no NaN, infinity or int beyond the largest double
-    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def parse_report(text: str) -> AgreementResult:
     """Rebuild an :class:`AgreementResult` from :func:`emit_report` output."""
     try:
@@ -272,21 +266,20 @@ def parse_report(text: str) -> AgreementResult:
     if type(version) is not int or version != REPORT_VERSION:
         raise ParseError(f"unsupported report version {version!r}; expected {REPORT_VERSION}")
     try:
-        fit = RegressionFit(**{name: value if name == "df" else _json_float(f"fit.{name}", value)
+        fit = RegressionFit(**{name: _integer("fit.df", value) if name == "df"
+                               else float(_real(f"fit.{name}", value))
                                for name, value in {**payload["fit"]}.items()})
-        if type(fit.df) is not int or fit.df < 1:
+        if fit.df < 1:
             raise ValueError(f"fit.df must be a positive integer, got {fit.df!r}")
         weights = payload["weights"]
         if weights is not None:
-            weights = WeightPair(**{name: _json_float(f"weights.{name}", value)
+            weights = WeightPair(**{name: float(_real(f"weights.{name}", value))
                                     for name, value in {**weights}.items()})
         points = np.asarray(rows := payload["points"], dtype=float)
         if (points.ndim != 2 or points.shape[1] != 2 or not np.isfinite(points).all()
                 or not set(map(type, chain.from_iterable(rows))) <= {int, float}):
             raise ValueError("points must be an (n, 2) array of finite numbers")
-        if type(payload["n"]) is not int:
-            raise ValueError(f"n must be an integer, got {payload['n']!r}")
-        if payload["n"] != len(points):
+        if _integer("n", payload["n"]) != len(points):
             raise ValueError(f"n is {payload['n']!r} but there are {len(points)} points")
         return AgreementResult(
             direction=payload["direction"],
@@ -295,7 +288,7 @@ def parse_report(text: str) -> AgreementResult:
             fit=fit,
             axis_values=points[:, 0],
             differences=points[:, 1],
-            **{name: _json_float(name, payload[name]) for name in ("bias", "loa_low", "loa_high")},
+            **{k: float(_real(k, payload[k])) for k in ("bias", "loa_low", "loa_high")},
         )
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed report document: {exc}") from None

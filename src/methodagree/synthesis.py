@@ -27,7 +27,8 @@ from .agreement import (
     PairedSample,
     WeightPair,
     WithinSubjectVariance,
-    _require_finite,
+    _integer,
+    _real,
     _unit_scaled,
     analyze,
     general_covariance_identity,
@@ -44,12 +45,6 @@ __all__ = [
     "monte_carlo_covariance",
     "preset_results",
 ]
-
-
-def _require_integer(name: str, value) -> None:
-    # 100.0 would fail later, inside numpy; True, a bool and so an int, would run as 1
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -72,12 +67,11 @@ class SyntheticConfig:
     exact_moments: bool = True
 
     def __post_init__(self):
-        _require_integer("n", self.n)
-        _require_integer("seed", self.seed)
-        _require_finite(self, "k_a", "k_b", "s_a", "s_b", "sigma_c")
-        if self.seed < 0:
+        for name in ("k_a", "k_b", "s_a", "s_b", "sigma_c"):
+            _real(name, getattr(self, name))
+        if _integer("seed", self.seed) < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.n < 3:
+        if _integer("n", self.n) < 3:
             raise ValueError(f"need n >= 3, got {self.n}")
         if self.exact_moments and self.n < 4:
             raise ValueError("exact-moment whitening needs n >= 4")
@@ -206,8 +200,7 @@ def monte_carlo_covariance(
     """
     if config.exact_moments:
         raise ValueError("monte_carlo_covariance needs exact_moments=False")
-    _require_integer("trials", trials)
-    if trials < 2:
+    if _integer("trials", trials) < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     direction = Direction(direction)
 

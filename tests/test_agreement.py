@@ -1,5 +1,6 @@
 import math
 import re
+import reprlib
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,8 @@ from methodagree.agreement import (
     ReplicatedSample,
     WeightPair,
     WithinSubjectVariance,
+    _integer,
+    _real,
     analyze,
     estimate_variances,
     general_covariance_identity,
@@ -159,6 +162,47 @@ class TestDomainTypes:
         assert WeightPair.from_variances(WithinSubjectVariance(2.0, 8.0)) == WeightPair(
             alpha=8.0, beta=2.0
         )
+
+
+class TestNumberRule:
+    """Every public scalar is read by ``_real`` (a finite real) or ``_integer`` (an int)."""
+
+    @pytest.mark.filterwarnings("error")  # np.float32 must pass without a promotion warning
+    @pytest.mark.parametrize("value, real, integer", [
+        (2, True, True), (np.int64(2), True, True), (np.float32(2.0), True, False),
+        (np.float64(2.0), True, False), (np.longdouble(2.0), True, False),
+        (np.nan, False, False), (np.inf, False, False), (-np.inf, False, False),
+        (True, False, False), (np.True_, False, False), ("1", False, False),
+        (None, False, False), ([1.0], False, False), (10**400, False, True),
+    ], ids=["int", "int64", "float32", "float64", "longdouble", "nan", "inf", "-inf", "True",
+            "np.True_", "str", "None", "list", "10**400"])
+    def test_one_rule_for_reals_and_one_for_integers(self, value, real, integer):
+        for check, accepts, kind in ((_real, real, "finite"), (_integer, integer, "an integer")):
+            if accepts:
+                assert check("x", value) is value
+            else:
+                message = f"x must be {kind}, got {reprlib.repr(value)}"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    check("x", value)
+
+    def test_message_abbreviates_a_huge_value(self):
+        with pytest.raises(ValueError, match="^s_wa2 must be finite, got 1000") as info:
+            WithinSubjectVariance(10**400, 1.0)
+        assert len(str(info.value)) < 100
+
+    @pytest.mark.parametrize("confidence", ["0.95", None])
+    def test_analyze_reads_confidence(self, confidence):
+        sample = random_sample(np.random.default_rng(0))
+        message = f"confidence must be finite, got {confidence!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            analyze(sample, confidence=confidence)
+        assert analyze(sample, confidence=np.float32(0.95)).fit.df == sample.n - 2
+
+    @pytest.mark.parametrize("name", ["var_a", "var_b", "cov_ab"])
+    def test_covariance_identity_reads_its_moments(self, name):
+        moments = {"var_a": 1.0, "var_b": 2.0, "cov_ab": 0.5, name: np.nan}
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got nan$"):
+            general_covariance_identity(WeightPair(1.0, 1.0), **moments)
 
 
 class TestWithinSubjectVariance:

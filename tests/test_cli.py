@@ -154,13 +154,28 @@ class TestAnalyze:
                        "rescale the measurements\n" if code else "")
 
     def test_overflowing_slope_exits_2(self, tmp_path, capsys):
-        # the axis is a, near 1e-300, and the difference near 1e300: the slope overflows
+        # the axis is a, near 1e-300, and the difference near 1e300: the slope overflows,
+        # and scaling a and b together (here by 1e-5) leaves it as it is, so no rescaling helps
         path = tmp_path / "big.csv"
-        path.write_text("subject,a,b\n1,1e-300,1e300\n2,2e-300,-1e300\n"
-                        "3,3e-300,5e299\n4,4e-300,2e299\n", encoding="utf-8")
-        assert main(["analyze", "--input", str(path), "--swa", "0", "--swb", "1"]) == 2
-        assert capsys.readouterr().err == ("error: the trend fit overflows the largest double; "
-                                           "rescale the measurements\n")
+        for lo, hi in [(-300, 300), (-305, 295)]:
+            path.write_text(f"subject,a,b\n1,1e{lo},1e{hi}\n2,2e{lo},-1e{hi}\n"
+                            f"3,3e{lo},5e{hi - 1}\n4,4e{lo},2e{hi - 1}\n", encoding="utf-8")
+            assert main(["analyze", "--input", str(path), "--swa", "0", "--swb", "1"]) == 2
+            assert capsys.readouterr().err == (
+                "error: the trend slope overflows the largest double; "
+                "the axis values barely vary next to the differences, at any scale\n")
+
+    @pytest.mark.parametrize("exponent, code", [(300, 2), (270, 0)], ids=["1e300", "1e270"])
+    def test_overflowing_intercept_is_cured_by_rescaling(self, tmp_path, capsys, exponent, code):
+        # the axis is a, near 10**exponent, and b - a = 1e10 * (a - a_1): a slope of 1e10
+        # and an intercept near -1e10 * a, which overflows at 1e300 but not at 1e270
+        path = tmp_path / "big.csv"
+        path.write_text("subject,a,b\n" + "".join(
+            f"{i},1.000000000{i - 1}e{exponent},{i}.000000000{i - 1}e{exponent}\n"
+            for i in range(1, 5)), encoding="utf-8")
+        assert main(["analyze", "--input", str(path), "--swa", "0", "--swb", "1"]) == code
+        assert capsys.readouterr().err == ("error: the trend intercept overflows the largest "
+                                           "double; rescale the measurements\n" if code else "")
 
     def test_constant_axis_exits_3(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
