@@ -1,11 +1,11 @@
 """Internal statistics kernel: correlation inference, least squares with slope
 confidence intervals, Student-t functions (``scipy.special.stdtr``/``stdtrit``)
-and exact whitening. Pure functions; no module state, no randomness.
+and exact whitening. No module state, no randomness.
 
 Only :class:`DegenerateDataError` and :class:`RegressionFit` are package API.
 The public entry points validate arguments; the kernel assumes valid ones and
 checks only what valid input can still hit: a confidence without a quantile
-level, a constant axis, rank-deficient columns. The reference moments
+level, a constant axis, rank-deficient rows. The reference moments
 ``mean``, ``variance`` and ``covariance`` check nothing.
 """
 
@@ -157,36 +157,36 @@ def linear_fit(x, y, confidence: float = 0.95) -> RegressionFit:
 # --- Whitening --------------------------------------------------------------
 
 
-def orthonormalize(columns) -> np.ndarray:
-    """Center and whiten the columns of an (n, k) matrix.
+def orthonormalize(rows) -> np.ndarray:
+    """Center and whiten the rows of a (k, n) matrix.
 
-    Returns an (n, k) matrix whose columns have sample mean 0, sample
+    Returns a new (k, n) matrix whose rows have sample mean 0, sample
     variance exactly 1 and pairwise sample covariance 0, spanning the same
     space as the centered input. Symmetric (eigenvector-based) whitening is
-    used, followed by a per-column rescale that pins the unit variances
-    down to float precision. The work runs on a row-contiguous (k, n) copy,
-    scaled by one power of two so that data far from unit scale neither
-    overflow nor underflow; the result is the transposed view of that
-    (k, n) array, so each of its columns is contiguous in memory.
+    used, followed by a per-row rescale that pins the unit variances down to
+    float precision. A C-ordered float64 input is overwritten: it is scaled
+    in place by one power of two, so that data far from unit scale neither
+    overflow nor underflow, and centred in place. Any other layout or dtype
+    is copied first, so the whitened output is the only other (k, n) array.
 
-    Raises :class:`DegenerateDataError` when the centered columns of the finite
-    input are not linearly independent, as with fewer than k + 1 rows; if the
-    input came from a random draw, retry with a different seed.
+    Raises :class:`DegenerateDataError` when the centered rows of the finite
+    input are not linearly independent, as with fewer than k + 1 columns; if
+    the input came from a random draw, retry with a different seed.
     """
-    x = np.asarray(columns, dtype=float)
-    n, k = x.shape
+    x = np.ascontiguousarray(rows, dtype=float)
+    n = x.shape[1]
     # One common scale: a per-row one would rotate the symmetric whitener's output.
-    rows = np.ldexp(x.T, _pow2_shift(x), out=np.empty((k, n)))
-    rows -= rows.mean(axis=1, keepdims=True)
-    cov = rows @ rows.T / (n - 1)
+    np.ldexp(x, _pow2_shift(x), out=x)
+    x -= x.mean(axis=1, keepdims=True)
+    cov = x @ x.T / (n - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     if eigvals[-1] <= 0.0 or eigvals[0] <= 1e-10 * eigvals[-1]:
         raise DegenerateDataError(
-            "columns are rank deficient after centering; "
+            "rows are rank deficient after centering; "
             "if they came from a random draw, retry with a different seed"
         )
     whitener = eigvecs @ np.diag(1.0 / np.sqrt(eigvals)) @ eigvecs.T
-    out = whitener @ rows
+    out = whitener @ x
     out -= out.mean(axis=1, keepdims=True)  # a large offset leaves a residual mean
     out /= np.sqrt(np.einsum("ij,ij->i", out, out) / (n - 1))[:, None]
-    return out.T
+    return out

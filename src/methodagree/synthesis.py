@@ -82,7 +82,8 @@ class SyntheticConfig:
 
     def error_variances(self) -> WithinSubjectVariance:
         """The true within-subject variances implied by the config."""
-        return WithinSubjectVariance(s_wa2=self.s_a**2, s_wb2=self.s_b**2)
+        # x * x, as in closed_form_moments: x**2 raises a bare OverflowError, not inf
+        return WithinSubjectVariance(s_wa2=self.s_a * self.s_a, s_wb2=self.s_b * self.s_b)
 
 
 #: The four canonical comparison cases: equal/unequal error spread crossed
@@ -107,22 +108,31 @@ def preset_config(label: str, **fields) -> SyntheticConfig:
     return SyntheticConfig(**params, **fields)
 
 
-def _to_normals(u: np.ndarray) -> np.ndarray:
-    # Inverse-CDF transform of PCG64 uniforms, in place; the raw uniform
+_DRAW_BLOCK = 8192  # rows of uniforms per ``random`` call in generate
+
+
+def _to_normals(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # Inverse-CDF transform of PCG64 uniforms, clamped in place; the raw uniform
     # stream is stable across numpy releases, unlike the ziggurat sampler.
     np.maximum(u, 2.0**-54, out=u)
-    return ndtri(u, out=u)
+    return ndtri(u, out=out)
 
 
 def generate(config: SyntheticConfig) -> PairedSample:
     """Generate one paired sample. Bit-reproducible for a fixed config."""
     rng = np.random.default_rng(config.seed)
-    signals = _to_normals(rng.random((config.n, 3)))
+    # (3, n) signals, drawn _DRAW_BLOCK subjects at a time: successive draws
+    # continue one stream, so every uniform is that of one random((n, 3)) call
+    rows, block = np.empty((3, config.n)), np.empty((min(_DRAW_BLOCK, config.n), 3))
+    for lo in range(0, config.n, _DRAW_BLOCK):
+        u = rng.random(out=block[:config.n - lo])
+        _to_normals(u.T, out=rows[:, lo:lo + len(u)])
     if config.exact_moments:
-        signals = orthonormalize(signals)
-    c = config.sigma_c * signals[:, 0]
-    return PairedSample(a=config.k_a * c + config.s_a * signals[:, 1],
-                        b=config.k_b * c + config.s_b * signals[:, 2])
+        rows = orthonormalize(rows)
+    c = np.multiply(rows[0], config.sigma_c, out=rows[0])
+    # fresh arrays: views would keep all of ``rows`` alive inside the sample
+    return PairedSample(a=config.k_a * c + config.s_a * rows[1],
+                        b=config.k_b * c + config.s_b * rows[2])
 
 
 @dataclass(frozen=True)
@@ -150,16 +160,17 @@ def closed_form_moments(
     :func:`~methodagree.agreement.analyze` produce.
     """
     direction = Direction(direction)
-    sc2 = config.sigma_c**2
-    var_a = config.k_a**2 * sc2 + config.s_a**2
-    var_b = config.k_b**2 * sc2 + config.s_b**2
+    sc2 = config.sigma_c * config.sigma_c
+    var_a = config.k_a * config.k_a * sc2 + config.s_a * config.s_a
+    var_b = config.k_b * config.k_b * sc2 + config.s_b * config.s_b
     cov_ab = config.k_a * config.k_b * sc2
     alpha, beta = _unit_scaled(w)
 
     cov = general_covariance_identity(w, var_a, var_b, cov_ab)
     if direction is Direction.B_MINUS_A:
         cov = -cov
-    var_diff = (config.k_a - config.k_b) ** 2 * sc2 + config.s_a**2 + config.s_b**2
+    dk = config.k_a - config.k_b
+    var_diff = dk * dk * sc2 + config.s_a * config.s_a + config.s_b * config.s_b
     var_axis = (alpha**2 * var_a + beta**2 * var_b
                 + 2.0 * alpha * beta * cov_ab) / (alpha + beta) ** 2
 
@@ -196,7 +207,8 @@ def monte_carlo_covariance(
     standard normal z: cov = ((u.v) * chi2 + |u x v| * sqrt(chi2) * z) / m.
     Trial i maps uniforms 2i and 2i + 1 of ``default_rng(config.seed)``
     through the inverse chi-square and inverse normal CDFs, so the result is
-    deterministic and each trial costs O(1), whatever n.
+    deterministic and each trial costs O(1), whatever n. A u.v, |u x v| or
+    covariance that overflows raises ValueError naming that step.
     """
     if config.exact_moments:
         raise ValueError("monte_carlo_covariance needs exact_moments=False")
@@ -213,9 +225,15 @@ def monte_carlo_covariance(
     m = config.n - 1
     uniforms = np.random.default_rng(config.seed).random((trials, 2))
     chi2 = 2.0 * gammaincinv(m / 2, uniforms[:, 0])
-    covs = ((u @ v) * chi2 + np.linalg.norm(np.cross(u, v)) * np.sqrt(chi2)
-            * _to_normals(uniforms[:, 1])) / m
-    return float(covs.mean()), float(covs.std(ddof=1) / np.sqrt(trials))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        dot, cross = u @ v, np.linalg.norm(np.cross(u, v))
+        covs = (dot * chi2 + cross * np.sqrt(chi2) * _to_normals(uniforms[:, 1])) / m
+        mean, se = float(covs.mean()), float(covs.std(ddof=1) / np.sqrt(trials))
+    for what, values in (("u.v", dot), ("|u x v|", cross),
+                         ("the sampled covariances", (mean, se))):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{what} overflows the largest double; rescale sigma_c, s_a and s_b")
+    return mean, se
 
 
 def _run_both_axes(config: SyntheticConfig, direction: Direction | str

@@ -431,7 +431,9 @@ class TestReports:
         ({"bias": "1.5"}, "bias must be finite, got '1.5'"),
         ({"loa_low": float("-inf")}, "loa_low must be finite, got -inf"),
         ({"loa_high": [2.0]}, "loa_high must be finite, got [2.0]"),
-    ])
+    ], ids=["fit-slope-string", "fit-r-none", "fit-intercept-bool", "fit-slope-nan",
+            "fit-p_value-int-beyond-double", "fit-df-float", "fit-df-zero", "fit-df-bool",
+            "bias-string", "loa_low-minus-inf", "loa_high-list"])
     def test_rejects_malformed_numbers(self, fields, message):
         payload = json.loads(self._edited())
         payload.update({**fields, "fit": {**payload["fit"], **fields.get("fit", {})}})

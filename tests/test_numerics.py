@@ -282,22 +282,24 @@ def _assert_whitened(out: np.ndarray):
 
 
 class TestOrthonormalize:
+    # orthonormalize takes (k, n) rows and may overwrite them, so each case passes
+    # a transposed copy of its (n, k) columns and checks the transposed output
     def test_moment_contract_on_gaussian_draws(self):
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            out = orthonormalize(rng.normal(size=(100, 3)))
+            out = orthonormalize(rng.normal(size=(100, 3)).T.copy()).T
             _assert_whitened(out)
 
     def test_idempotent_moment_contract(self):
         rng = np.random.default_rng(42)
-        once = orthonormalize(rng.normal(size=(50, 3)))
-        twice = orthonormalize(once)
+        once = orthonormalize(rng.normal(size=(50, 3)).T.copy())
+        twice = orthonormalize(once).T
         _assert_whitened(twice)
 
     def test_spans_centered_input(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(30, 3))
-        out = orthonormalize(x)
+        out = orthonormalize(x.T.copy()).T
         centered = x - x.mean(axis=0)
         # every centered input column must be reproducible from the output
         _, residuals, _, _ = np.linalg.lstsq(out, centered, rcond=None)
@@ -308,26 +310,27 @@ class TestOrthonormalize:
         col = rng.normal(size=60)
         x = np.column_stack([col, col, rng.normal(size=60)])
         with pytest.raises(DegenerateDataError, match="rank deficient"):
-            orthonormalize(x)
+            orthonormalize(x.T.copy())
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError):
-            orthonormalize(np.ones((3, 3)))
+            orthonormalize(np.ones((3, 3)).T.copy())
 
     @pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e160])
     def test_moment_contract_far_from_unit_scale(self, scale):
         x = np.random.default_rng(7).normal(size=(100, 3))
-        out = orthonormalize(x * scale)
+        out = orthonormalize((x * scale).T.copy()).T
         _assert_whitened(out)
         # whitening is scale-free, so the output must not depend on the scale
-        np.testing.assert_allclose(out, orthonormalize(x), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out, orthonormalize(x.T.copy()).T, rtol=0, atol=1e-12)
 
     def test_moment_contract_with_large_offset(self):
         # centring 1e8 + N(0, 1) in floats leaves a mean near 1e-8; the output
         # must still be centred to rounding
-        _assert_whitened(orthonormalize(np.random.default_rng(3).normal(size=(100, 3)) + 1e8))
+        x = np.random.default_rng(3).normal(size=(100, 3)) + 1e8
+        _assert_whitened(orthonormalize(x.T.copy()).T)
 
     def test_memory_order_does_not_matter(self):
         x = np.random.default_rng(8).normal(size=(200, 3)) * [1.0, 3.0, 0.5] + 2.0
-        np.testing.assert_array_equal(orthonormalize(np.asfortranarray(x)),
-                                      orthonormalize(np.ascontiguousarray(x)))
+        np.testing.assert_array_equal(orthonormalize(np.asfortranarray(x.T)).T,
+                                      orthonormalize(np.ascontiguousarray(x.T)).T)

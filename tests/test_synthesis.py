@@ -1,3 +1,7 @@
+import math
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import gammaincinv, ndtri
@@ -10,6 +14,7 @@ from methodagree.agreement import (
 )
 from methodagree.numerics import covariance, variance
 from methodagree.synthesis import (
+    _DRAW_BLOCK,
     CASE_PRESETS,
     SyntheticConfig,
     closed_form_moments,
@@ -54,8 +59,12 @@ class TestConfig:
         (lambda: monte_carlo_covariance(preset_config("c", exact_moments=False),
                                         mean_weights(), trials=1),
          "need at least 2 trials, got 1"),
+        # squares overflow to inf, which the field check names, not to a bare OverflowError
+        (lambda: SyntheticConfig(s_a=1e200).error_variances(), "s_wa2 must be finite, got inf"),
+        (lambda: closed_form_moments(preset_config("c", sigma_c=1e200), mean_weights()),
+         "var_a must be finite, got inf"),
     ], ids=["config-n-2", "config-seed-negative", "preset-seed-negative-numpy",
-            "monte-carlo-1-trial"])
+            "monte-carlo-1-trial", "error-variances-overflow", "closed-form-overflow"])
     def test_rejects_invalid_input(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
@@ -123,7 +132,50 @@ def whitened_reference(config):
     return config.k_a * c + config.s_a * out[:, 1], config.k_b * c + config.s_b * out[:, 2]
 
 
+def single_draw_reference(config):
+    """generate as it was before the block draw: one random((n, 3)) call, clamp,
+    inverse normal CDF, then (with exact moments) whitening of a C-ordered (3, n)
+    copy scaled by one power of two, exactly as orthonormalize did on columns."""
+    u = np.random.default_rng(config.seed).random((config.n, 3))
+    z = ndtri(np.maximum(u, 2.0**-54))
+    if config.exact_moments:
+        shift = -math.frexp(max(z.max(), -z.min()))[1]
+        rows = np.ldexp(z.T, shift, out=np.empty((3, config.n)))
+        rows -= rows.mean(axis=1, keepdims=True)
+        vals, vecs = np.linalg.eigh(rows @ rows.T / (config.n - 1))
+        out = (vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T) @ rows
+        out -= out.mean(axis=1, keepdims=True)
+        out /= np.sqrt(np.einsum("ij,ij->i", out, out) / (config.n - 1))[:, None]
+        z = out.T
+    c = config.sigma_c * z[:, 0]
+    return config.k_a * c + config.s_a * z[:, 1], config.k_b * c + config.s_b * z[:, 2]
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("label", sorted(CASE_PRESETS))
+    @pytest.mark.parametrize("exact_moments", [True, False])
+    def test_bit_identical_to_single_draw(self, label, exact_moments):
+        # the block draw continues one PCG64 stream, so no uniform and no bit may move
+        for seed in (1, 2**64 + 7):
+            for n in (4, 5, 100, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1,
+                      2 * _DRAW_BLOCK + 3):
+                config = preset_config(label, n=n, seed=seed, exact_moments=exact_moments)
+                sample, (a, b) = generate(config), single_draw_reference(config)
+                assert np.array_equal(sample.a, a) and np.array_equal(sample.b, b), (seed, n)
+
+    def test_peak_memory_is_two_signal_arrays(self):
+        # the (3, n) signals and their whitened copy; a third (n, 3) array breaks the bound
+        n = 200_000
+        generate(preset_config("c", n=100))  # lazy set-up outside the trace
+        tracemalloc.start()
+        try:
+            sample = generate(preset_config("c", n=n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sample.n == n
+        assert peak <= 2 * (3 * n * 8) + 2**20
+
     @pytest.mark.parametrize("label", sorted(CASE_PRESETS))
     @pytest.mark.parametrize("n", [4, 100, 10_000])
     def test_matches_whitened_reference(self, label, n):
@@ -368,6 +420,18 @@ class TestMonteCarlo:
     def test_rejects_exact_moments(self):
         with pytest.raises(ValueError, match="exact_moments"):
             monte_carlo_covariance(preset_config("a"), mean_weights(), 10)
+
+    @pytest.mark.parametrize("fields, step", [
+        (dict(s_a=1e200), "u.v"),
+        (dict(s_a=1e100, s_b=1e100), "|u x v|"),  # u.v cancels to 0
+        (dict(s_a=4e153, s_b=0.0, sigma_c=1e-10), "the sampled covariances"),
+    ], ids=["dot", "cross", "covariances"])
+    def test_overflow_names_the_step(self, fields, step):
+        # unchecked, these return (nan, nan) or inf with RuntimeWarnings
+        config = SyntheticConfig(**fields, exact_moments=False)
+        message = f"{step} overflows the largest double; rescale sigma_c, s_a and s_b"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            monte_carlo_covariance(config, mean_weights(), 10)
 
     @pytest.mark.parametrize(
         "label, n, trials, w, direction",
