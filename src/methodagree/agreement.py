@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import DegenerateDataError, RegressionFit, _centred, linear_fit
+from .numerics import DegenerateDataError, RegressionFit, linear_fit
 
 __all__ = [
     "Direction",
@@ -365,13 +365,11 @@ def analyze(
             what = "the sum a + b of the mean axis" if weights is None else "the weighted average"
             axis_values = (a + b) / 2.0 if weights is None else weighted_average(a, b, variances)
         what = "the trend slope"
-        fit = linear_fit(axis_values, diffs, confidence=confidence)
+        fit, bias, sd = linear_fit(axis_values, diffs, confidence=confidence)
         _require_no_overflow(fit.slope, fit.slope_se, fit.ci_low, fit.ci_high)
         what = "the trend intercept"
         _require_no_overflow(fit.intercept)
         what = "the limits of agreement"
-        bias, centred, shift = _centred(diffs)
-        sd = math.ldexp(math.sqrt(np.dot(centred, centred) / (diffs.size - 1)), -shift)
         loa_low, loa_high = bias - LOA_MULTIPLIER * sd, bias + LOA_MULTIPLIER * sd
         _require_no_overflow(loa_low, loa_high)
     except DegenerateDataError:

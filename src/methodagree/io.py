@@ -308,7 +308,9 @@ def _fmt2(x: float) -> str:
 
 
 def _fmt_p(p: float) -> str:
-    return "<0.001" if p < 0.001 else _fmt2(p)
+    if p < 0.001:
+        return "<0.001"
+    return f"{round_half_away(p, 3):.3f}" if p < 0.005 else _fmt2(p)  # two would print 0.00
 
 
 def _fmt_slope(fit: RegressionFit) -> str:
@@ -320,7 +322,8 @@ def format_table(entries) -> str:
 
     Columns per analysis: correlation r, its p-value, and the trend slope k
     with its confidence interval, all rounded to two decimals (ties away
-    from zero). p-values below 0.001 print as ``<0.001``.
+    from zero). p-values below 0.001 print as ``<0.001``, and those in
+    [0.001, 0.005), which two decimals would print as ``0.00``, with three.
     """
     k_width = 22
 

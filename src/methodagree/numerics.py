@@ -4,9 +4,9 @@ and exact whitening. No module state, no randomness.
 
 Only :class:`DegenerateDataError` and :class:`RegressionFit` are package API.
 The public entry points validate arguments; the kernel assumes valid ones and
-checks only what valid input can still hit: a confidence without a quantile
-level, a constant axis, rank-deficient rows. The reference moments
-``mean``, ``variance`` and ``covariance`` check nothing.
+checks only what valid input can still hit: a confidence outside (0, 1) or
+without a quantile level, a constant axis, rank-deficient rows. The
+reference moments ``mean``, ``variance`` and ``covariance`` check nothing.
 """
 
 from __future__ import annotations
@@ -63,12 +63,6 @@ def _centred(v: np.ndarray) -> tuple[float, np.ndarray, int]:
     return math.ldexp(centre, -shift), scaled, shift
 
 
-def _moments(xc: np.ndarray, yc: np.ndarray) -> tuple[float, float, float]:
-    # var(x), var(y) and cov(x, y), divisor n-1, of centred vectors
-    m = xc.size - 1
-    return float(np.dot(xc, xc)) / m, float(np.dot(yc, yc)) / m, float(np.dot(xc, yc)) / m
-
-
 def correlation_p_value(r: float, n: int) -> float:
     """Two-sided p-value for H0: no correlation, given sample r in [-1, 1] and size n >= 3.
 
@@ -112,15 +106,17 @@ class RegressionFit:
     df: int
 
 
-def linear_fit(x, y, confidence: float = 0.95) -> RegressionFit:
-    """Fit y = intercept + slope * x by least squares.
+def linear_fit(x, y, confidence: float = 0.95) -> tuple[RegressionFit, float, float]:
+    """Fit y = intercept + slope * x by least squares; return ``(fit, y_mean, y_sd)``.
 
     The slope confidence interval uses the Student-t quantile at ``df = n - 2``
     with SE^2 = (var(y)/var(x)) * (1 - r^2) / (n - 2); the variance-divisor
     choice cancels in that ratio. The caller passes finite 1-D vectors of
     equal length n >= 3; a constant ``x`` raises :class:`DegenerateDataError`.
     Each vector is centred once and scaled by an exact power of two, so data
-    near 1e300 or 1e-300 fit as well as data near 1.
+    near 1e300 or 1e-300 fit as well as data near 1. ``y_mean`` and
+    ``y_sd`` (divisor n - 1) come from that one pass over y; ``y_sd`` is
+    ``inf`` when it exceeds the largest double.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
@@ -132,7 +128,8 @@ def linear_fit(x, y, confidence: float = 0.95) -> RegressionFit:
     x_mean, xc, p = _centred(xv)
     y_mean, yc, q = _centred(yv)
     # moments of x * 2**p and y * 2**q: r is scale-free, slope and SE scale by 2**(q - p)
-    vx, vy, cxy = _moments(xc, yc)
+    m = xv.size - 1
+    vx, vy, cxy = float(np.dot(xc, xc)) / m, float(np.dot(yc, yc)) / m, float(np.dot(xc, yc)) / m
     if vx <= 0.0:
         raise DegenerateDataError("cannot fit a line on a constant x")
     slope = math.ldexp(cxy / vx, p - q)
@@ -142,6 +139,10 @@ def linear_fit(x, y, confidence: float = 0.95) -> RegressionFit:
     df = xv.size - 2
     se = math.ldexp(math.sqrt((vy / vx) * max(0.0, 1.0 - r * r) / df), p - q)
     tq = student_t_quantile(level, df)
+    try:
+        y_sd = math.ldexp(math.sqrt(vy), -q)
+    except OverflowError:  # the spread of y exceeds the largest double
+        y_sd = math.inf
     return RegressionFit(
         slope=slope,
         intercept=intercept,
@@ -151,7 +152,7 @@ def linear_fit(x, y, confidence: float = 0.95) -> RegressionFit:
         r=r,
         p_value=correlation_p_value(r, xv.size),
         df=df,
-    )
+    ), y_mean, y_sd
 
 
 # --- Whitening --------------------------------------------------------------

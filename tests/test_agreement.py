@@ -25,7 +25,7 @@ from methodagree.agreement import (
     weighted_average,
 )
 from methodagree.io import write_paired
-from methodagree.numerics import DegenerateDataError, covariance, variance
+from methodagree.numerics import DegenerateDataError, _centred, covariance, variance
 from methodagree.synthesis import closed_form_moments, monte_carlo_covariance, preset_config
 
 
@@ -611,6 +611,29 @@ class TestAnalyze:
     def test_bad_enum_string_names_the_choices(self, call, choices):
         with pytest.raises(ValueError, match=f"^expected one of {choices}, got 'sideways'$"):
             call("sideways")
+
+    @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300])
+    @pytest.mark.parametrize("direction", ["a-b", "b-a"])
+    @pytest.mark.parametrize("axis", ["mean", "weighted"])
+    def test_limits_equal_a_separate_centring_of_the_differences(self, scale, direction, axis):
+        # bias and SD taken from the fit's pass over the differences keep every bit of
+        # a second pass of their own: centre, dot product, divisor n - 1, undo the shift
+        a, b, _ = np.random.default_rng(9).normal(size=(50, 3)).T
+        res = analyze(PairedSample(a * scale, b * scale), axis=axis, direction=direction,
+                      variances=WithinSubjectVariance(1.5, 6.0))
+        bias, centred, shift = _centred(res.differences)
+        sd = math.ldexp(math.sqrt(np.dot(centred, centred) / (res.n - 1)), -shift)
+        assert (res.bias, res.loa_low, res.loa_high) == (bias, bias - 1.96 * sd, bias + 1.96 * sd)
+
+    @pytest.mark.parametrize("a, b", [
+        ([0.0, 0.0, 1.0], [-1.7e308, 1.7e308, 1.7e308]),
+        ([0.0, 1.0, 2.0, 3.0], [1.0e308, 1.7e308, 1.2e308, 0.2e308]),
+    ], ids=["sd-overflows", "bias-plus-sd-overflows"])
+    @pytest.mark.parametrize("axis", ["mean", "weighted"])
+    def test_overflowing_limits_are_named(self, a, b, axis):
+        message = "the limits of agreement overflows the largest double; rescale the measurements"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            analyze(PairedSample(a, b), axis=axis, variances=WithinSubjectVariance(1.0, 1.0))
 
     @pytest.mark.parametrize("scale", [1e160, 1e-170])
     @pytest.mark.parametrize("axis", ["mean", "weighted"])

@@ -632,6 +632,16 @@ class TestFormatTable:
         entries = preset_results()
         assert format_table(entries) == format_table(entries)
 
+    @pytest.mark.parametrize("p, cell", [
+        (0.000999, "<0.001"), (0.001, "0.001"), (0.003, "0.003"), (0.00449, "0.004"),
+        (0.005, "0.01"), (0.03, "0.03"), (1.0, "1.00"),
+    ])
+    def test_small_p_never_prints_as_zero(self, p, cell):
+        label, classic, weighted = preset_results()[0]
+        classic = replace(classic, fit=replace(classic.fit, p_value=p))
+        row = format_table([(label, classic, weighted)]).splitlines()[2]
+        assert row.split()[2] == cell  # the mean axis's p, after the case label and r
+
 
 def _tick_mapping(svg: str, axis: str):
     lines = re.findall(
