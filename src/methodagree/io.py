@@ -20,7 +20,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from io import StringIO
 from itertools import chain, islice, repeat
 
@@ -159,15 +159,15 @@ def parse_paired(text: str) -> PairedSample:
 def parse_replicated(text: str) -> ReplicatedSample:
     """Parse a long-format ``subject,method,replicate,value`` CSV.
 
-    Columns convert in bulk, with repeated ids and labels interned to share one
-    string; a failure re-scans the rows one by one to name the offending line.
+    Columns convert in bulk, with repeated ids interned to share one string; a
+    failure re-scans the rows one by one to name the offending line.
     """
     header = ["subject", "method", "replicate", "value"]
     subjects, methods, reps, values = [], [], [], []
     try:
         for chunk_subjects, chunk_methods, raw_reps, raw_values in _columns(text, header):
             subjects += map(sys.intern, chunk_subjects)
-            methods += map(sys.intern, chunk_methods)
+            methods += chunk_methods  # one-character labels: CPython shares them already
             reps.append(np.array(raw_reps, dtype=np.int64))
             values.append(np.array(raw_values, dtype=float))
         return ReplicatedSample(subjects, methods, np.concatenate(reps), np.concatenate(values))
@@ -300,7 +300,8 @@ def parse_report(text: str) -> AgreementResult:
 def round_half_away(x: float, places: int = 2) -> float:
     """Round to ``places`` decimals with ties going away from zero."""
     quantum = Decimal(1).scaleb(-places)
-    return float(Decimal(x).quantize(quantum, rounding=ROUND_HALF_UP))
+    # 400 digits hold any double to a few decimals; the default context's 28 do not
+    return float(Decimal(x).quantize(quantum, rounding=ROUND_HALF_UP, context=Context(prec=400)))
 
 
 def _fmt2(x: float) -> str:

@@ -5,9 +5,12 @@ from a shared signal c and independent errors, either with *exact* sample
 moments (the three underlying signals are whitened so their sample means,
 variances and covariances hit their nominal values exactly, making every
 downstream statistic seed-independent) or as plain independent draws.
-:func:`monte_carlo_covariance` samples cov(difference, weighted axis) without
-building the pairs: each trial's 2x2 scatter matrix is Wishart, drawn exactly
-by Bartlett's decomposition from two uniforms.
+The difference and the weighted axis are linear in the three signals, and
+the Gram matrix of their coefficient vectors (v, u) is their covariance:
+:func:`closed_form_moments` returns it as a whitened sample's exact moments,
+and :func:`monte_carlo_covariance` draws each trial's 2x2 scatter matrix from
+it (Wishart, by Bartlett's decomposition from two uniforms) without building
+the pairs.
 
 Draws are reproducible across runs and platforms: uniform variates come
 from a seeded PCG64 stream, whose raw output numpy keeps stable, and are
@@ -15,6 +18,7 @@ mapped through inverse CDFs (normal; chi-square for the Monte Carlo draw).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +35,6 @@ from .agreement import (
     _real,
     _unit_scaled,
     analyze,
-    general_covariance_identity,
 )
 from .numerics import orthonormalize
 
@@ -82,7 +85,7 @@ class SyntheticConfig:
 
     def error_variances(self) -> WithinSubjectVariance:
         """The true within-subject variances implied by the config."""
-        # x * x, as in closed_form_moments: x**2 raises a bare OverflowError, not inf
+        # x * x: x**2 raises a bare OverflowError, where x * x gives inf for the field check
         return WithinSubjectVariance(s_wa2=self.s_a * self.s_a, s_wb2=self.s_b * self.s_b)
 
 
@@ -153,39 +156,38 @@ def closed_form_moments(
 ) -> ClosedFormMoments:
     """Exact difference-plot moments under the exact-moment construction.
 
-    With whitened signals the sample variances and covariances of a and b
-    are polynomial in the config parameters, so the covariance, variances,
-    correlation and trend slope of the difference plot follow in closed
-    form. This is the independent check for everything :func:`generate` +
-    :func:`~methodagree.agreement.analyze` produce.
+    Whitened, the difference and the weighted axis are exact combinations of
+    three orthonormal signals, with coefficient vectors u and v, so their
+    moments are the Gram matrix of (v, u): cov = u.v, var_diff = u.u and
+    var_axis = v.v; r and the trend slope follow. This is the independent
+    check for everything :func:`generate` + :func:`~methodagree.agreement.analyze`
+    produce. A moment that overflows raises ValueError naming it.
     """
-    direction = Direction(direction)
-    sc2 = config.sigma_c * config.sigma_c
-    var_a = config.k_a * config.k_a * sc2 + config.s_a * config.s_a
-    var_b = config.k_b * config.k_b * sc2 + config.s_b * config.s_b
-    cov_ab = config.k_a * config.k_b * sc2
-    alpha, beta = _unit_scaled(w)
-
-    cov = general_covariance_identity(w, var_a, var_b, cov_ab)
-    if direction is Direction.B_MINUS_A:
-        cov = -cov
-    dk = config.k_a - config.k_b
-    var_diff = dk * dk * sc2 + config.s_a * config.s_a + config.s_b * config.s_b
-    var_axis = (alpha**2 * var_a + beta**2 * var_b
-                + 2.0 * alpha * beta * cov_ab) / (alpha + beta) ** 2
-
-    if var_diff > 0.0 and var_axis > 0.0:
-        r = cov / np.sqrt(var_diff * var_axis)
+    u, v = _loadings(config, w, Direction(direction))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        cov, var_diff, var_axis = float(u @ v), float(u @ u), float(v @ v)
+    for what, value in (("cov", cov), ("var_diff", var_diff), ("var_axis", var_axis)):
+        if not math.isfinite(value):
+            raise ValueError(f"{what} overflows the largest double; rescale sigma_c, s_a and s_b")
+    if var_diff > 0.0 and var_axis > 0.0:  # two roots: r is scale-free, the product is not
+        r = cov / (math.sqrt(var_diff) * math.sqrt(var_axis))
     else:
         r = 0.0
     slope = cov / var_axis if var_axis > 0.0 else 0.0
-    return ClosedFormMoments(
-        cov=float(cov),
-        var_diff=float(var_diff),
-        var_axis=float(var_axis),
-        r=float(r),
-        slope=float(slope),
-    )
+    return ClosedFormMoments(cov=cov, var_diff=var_diff, var_axis=var_axis, r=r, slope=slope)
+
+
+def _loadings(config: SyntheticConfig, w: WeightPair, direction: Direction
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient vectors (u, v) of the difference and the weighted axis on
+    the three unit signals (common signal, error of a, error of b)."""
+    sign = 1.0 if direction is Direction.A_MINUS_B else -1.0
+    alpha, beta = _unit_scaled(w)
+    c = config.sigma_c
+    v = np.array([c * (alpha * config.k_a + beta * config.k_b),
+                  alpha * config.s_a, beta * config.s_b]) / (alpha + beta)
+    u = sign * np.array([c * (config.k_a - config.k_b), config.s_a, -config.s_b])
+    return u, v
 
 
 def monte_carlo_covariance(
@@ -214,14 +216,7 @@ def monte_carlo_covariance(
         raise ValueError("monte_carlo_covariance needs exact_moments=False")
     if _integer("trials", trials) < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
-    direction = Direction(direction)
-
-    sign = 1.0 if direction is Direction.A_MINUS_B else -1.0
-    alpha, beta = _unit_scaled(w)
-    c = config.sigma_c
-    v = np.array([c * (alpha * config.k_a + beta * config.k_b),
-                  alpha * config.s_a, beta * config.s_b]) / (alpha + beta)
-    u = sign * np.array([c * (config.k_a - config.k_b), config.s_a, -config.s_b])
+    u, v = _loadings(config, w, Direction(direction))
     m = config.n - 1
     uniforms = np.random.default_rng(config.seed).random((trials, 2))
     chi2 = 2.0 * gammaincinv(m / 2, uniforms[:, 0])

@@ -559,15 +559,21 @@ class TestAnalyze:
         fit = analyze(sample, confidence=1.0 - 2.0**-52).fit
         assert math.isfinite(fit.ci_low) and math.isfinite(fit.ci_high)
 
-    def test_sample_cov_matches_identity_on_own_moments(self):
-        # plain algebra: cov(diff, mean) computed two ways must agree
+    @pytest.mark.parametrize("v", [
+        None, WithinSubjectVariance(1.0, 4.0), WithinSubjectVariance(0.0, 1.0),
+        WithinSubjectVariance(20.25, 0.25),
+    ], ids=["mean", "weighted-1-4", "weighted-0-1", "weighted-20.25-0.25"])
+    def test_sample_cov_matches_identity_on_own_moments(self, v):
+        # plain algebra: cov(diff, axis) computed two ways must agree, on either axis
+        axis, w = ("mean", WeightPair(1.0, 1.0)) if v is None else (
+            "weighted", WeightPair.from_variances(v))
         rng = np.random.default_rng(7)
         for _ in range(10):
             sample = random_sample(rng, n=25, spread=4.0)
-            res = analyze(sample, direction="a-b")
+            res = analyze(sample, axis=axis, direction="a-b", variances=v)
             lhs = covariance(res.differences, res.axis_values)
             rhs = general_covariance_identity(
-                WeightPair(1.0, 1.0),
+                w,
                 variance(sample.a),
                 variance(sample.b),
                 covariance(sample.a, sample.b),

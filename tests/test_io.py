@@ -615,6 +615,12 @@ class TestRounding:
         assert round_half_away(1.2345, 3) == 1.234
         assert round_half_away(12.5, 0) == 13.0
 
+    @pytest.mark.parametrize("x", [1e26, -1.1e27, 2.0**1023, np.finfo(float).max])
+    def test_huge_values_beyond_decimals_default_28_digits(self, x):
+        # an integer-valued double is its own rounding, at any number of digits
+        assert round_half_away(x) == x
+        assert round_half_away(x, 3) == x
+
 
 class TestFormatTable:
     def test_reproduces_reference_cells(self):
@@ -641,6 +647,13 @@ class TestFormatTable:
         classic = replace(classic, fit=replace(classic.fit, p_value=p))
         row = format_table([(label, classic, weighted)]).splitlines()[2]
         assert row.split()[2] == cell  # the mean axis's p, after the case label and r
+
+    def test_slope_of_thirty_digits_prints(self):
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        sample = PairedSample(x, np.array([1e27, 3e27, 2e27, 5e27]))
+        res = analyze(sample, axis="weighted", variances=WithinSubjectVariance(0.0, 1.0))
+        row = format_table([("x", res, res)]).splitlines()[2]
+        assert row.split()[3] == f"{res.fit.slope:.2f}"  # 1.1e27: 28 digits, then 2 decimals
 
 
 def _tick_mapping(svg: str, axis: str):

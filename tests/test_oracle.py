@@ -1,19 +1,21 @@
 """Exact-rational oracle for the statistics kernel.
 
 ``fractions.Fraction`` holds every double exactly, so the mean and the
-sample variance of a few doubles can be computed with no rounding at all.
-The kernel's answers are compared with those exact values. Each bound is
-stated in the scale of the inputs, max|y|, because values that cancel leave
-a result near zero whose relative error says nothing about the kernel.
+sample variance of a few doubles, and the moments of the synthetic model,
+can be computed with no rounding at all. The kernel's answers are compared
+with those exact values. Each bound is stated in the scale of the inputs
+(max|y|; the spread of the difference plot), because values that cancel
+leave a result near zero whose relative error says nothing about the kernel.
 
-The bounds were measured before they were written down: over 60,000
-numpy draws (uniform, clustered near an offset, spread over nine decades,
-one ulp apart; n from 3 to 8; times 1, 1e300 and 1e-300), 80,000 draws of
-same-signed values near 1e3, and 20,000 targeted hypothesis examples of
-the strategy below, the largest errors were 2.29 ulps of max|y| for the
-mean and 2.14 · 2**-52 · max|y|**2 for the variance. The bounds below
-leave room above those for inputs the draws missed; an error of the
-formula, such as the divisor n for n - 1, misses them by far.
+The bounds were measured before they were written down. For ``linear_fit``:
+over 60,000 numpy draws (uniform, clustered near an offset, spread over nine
+decades, one ulp apart; n from 3 to 8; times 1, 1e300 and 1e-300), 80,000
+draws of same-signed values near 1e3, and 20,000 targeted hypothesis
+examples of the strategy below, the largest errors were 2.29 ulps of max|y|
+for the mean and 2.14 · 2**-52 · max|y|**2 for the variance. For
+``closed_form_moments``, see ``CLOSED_FORM_UNITS``. The bounds leave room
+above those for inputs the draws missed; an error of the formula, such as
+the divisor n for n - 1, misses them by far.
 """
 
 import math
@@ -23,7 +25,9 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from methodagree.agreement import Direction, WeightPair
 from methodagree.numerics import linear_fit
+from methodagree.synthesis import SyntheticConfig, closed_form_moments
 
 MEAN_ULPS = 4  # in ulps of max|y|
 VARIANCE_UNITS = 4  # in units of 2**-52 * max|y|**2
@@ -46,3 +50,80 @@ def test_mean_and_sd_of_y_match_exact_rationals(values, scale):
     var = sum((v - mean) ** 2 for v in exact) / (n - 1)
     assert abs(Fraction(y_mean) - mean) <= MEAN_ULPS * Fraction(math.ulp(largest))
     assert abs(Fraction(y_sd) ** 2 - var) <= VARIANCE_UNITS * Fraction(largest) ** 2 / 2**52
+
+
+# Errors of closed_form_moments, in units of 2**-52 times the scale of each:
+# sqrt(var_diff * var_axis) for cov, 1 for r, sqrt(var_diff / var_axis) for
+# the slope, and the variance itself for var_diff and var_axis. Measured worst
+# cases over 80,000 numpy draws like the strategy below and 20,000 examples of
+# it: cov 2.58, var_diff 2.21, var_axis 3.88, r 2.15, slope 2.96. The same
+# moments expanded into polynomials of the config came out up to 30,000 units
+# off for cov, r and the slope over those examples; see the explicit ones below.
+CLOSED_FORM_UNITS = dict(cov=4, var_diff=4, var_axis=6, r=4, slope=5)
+
+
+def _sqrt(x: Fraction) -> Fraction:
+    """sqrt(x) to 256 bits, far finer than any double rounds."""
+    return Fraction(math.isqrt(x.numerator * x.denominator << 512), x.denominator << 256)
+
+
+def _exact_moments(config: SyntheticConfig, w: WeightPair, direction: str):
+    """(cov, var_diff, var_axis) of the synthetic model, from its definition."""
+    k_a, k_b, s_a, s_b, sc = map(Fraction, (config.k_a, config.k_b, config.s_a, config.s_b,
+                                            config.sigma_c))
+    alpha, beta = Fraction(w.alpha), Fraction(w.beta)
+    var_a = k_a * k_a * sc * sc + s_a * s_a
+    var_b = k_b * k_b * sc * sc + s_b * s_b
+    cov_ab = k_a * k_b * sc * sc
+    cov = (alpha * var_a - beta * var_b + (beta - alpha) * cov_ab) / (alpha + beta)
+    var_diff = var_a + var_b - 2 * cov_ab
+    var_axis = (alpha * alpha * var_a + beta * beta * var_b
+                + 2 * alpha * beta * cov_ab) / (alpha + beta) ** 2
+    return (cov if Direction(direction) is Direction.A_MINUS_B else -cov), var_diff, var_axis
+
+
+def _closed_form_errors(config: SyntheticConfig, w: WeightPair, direction: str) -> dict:
+    """Each error of closed_form_moments in the units of ``CLOSED_FORM_UNITS``;
+    needs both exact variances positive."""
+    got = closed_form_moments(config, w, direction)
+    cov, var_diff, var_axis = _exact_moments(config, w, direction)
+    scale, spread = _sqrt(var_diff * var_axis), _sqrt(var_diff / var_axis)
+    exact = dict(cov=(cov, scale), var_diff=(var_diff, var_diff), var_axis=(var_axis, var_axis),
+                 r=(cov / scale, 1), slope=(cov / var_axis, spread))
+    return {name: abs(Fraction(getattr(got, name)) - value) * 2**52 / unit
+            for name, (value, unit) in exact.items()}
+
+
+# 0 or at least 1e-3, so that no square falls into the subnormal range
+_loading = st.one_of(st.just(0.0), st.floats(1e-3, 2.0))
+_error_sd = st.one_of(st.just(0.0), st.floats(1e-3, 5.0))
+
+
+@st.composite
+def _closed_form_cases(draw):
+    k_a = draw(_loading)
+    k_b = k_a if draw(st.booleans()) else draw(_loading)
+    s_a, s_b = draw(_error_sd), draw(_error_sd)
+    config = SyntheticConfig(k_a=k_a, k_b=k_b, s_a=s_a, s_b=s_b,
+                             sigma_c=draw(st.floats(0.1, 20.0)))
+    if draw(st.booleans()):
+        assume(s_a or s_b)
+        w = WeightPair.from_variances(config.error_variances())
+    else:
+        w = WeightPair(draw(st.floats(1e-3, 1.0)), draw(st.floats(1e-3, 1.0)))
+    return config, w, draw(st.sampled_from(["a-b", "b-a"]))
+
+
+@given(_closed_form_cases())
+# alpha * k_a + beta * k_b is exactly 0: the expanded polynomials put var_axis 2,303 units off
+@example((SyntheticConfig(k_a=1.0, k_b=-1.0, s_a=0.1, s_b=0.1, sigma_c=10.1),
+          WeightPair(1.0, 1.0), "b-a"))
+# the expanded cov is 81 units of its scale off, a relative error of 4e-10
+@example((SyntheticConfig(k_a=1.0, k_b=1.0, s_a=0.3, s_b=0.02, sigma_c=23.3),
+          WeightPair(0.001, 1.0), "a-b"))
+@settings(max_examples=60, deadline=None)
+def test_closed_form_moments_match_exact_rationals(case):
+    _, var_diff, var_axis = _exact_moments(*case)
+    assume(var_diff and var_axis)  # r is 0 there by definition, tested in test_synthesis
+    errors = _closed_form_errors(*case)
+    assert all(errors[name] <= bound for name, bound in CLOSED_FORM_UNITS.items()), errors

@@ -62,7 +62,7 @@ class TestConfig:
         # squares overflow to inf, which the field check names, not to a bare OverflowError
         (lambda: SyntheticConfig(s_a=1e200).error_variances(), "s_wa2 must be finite, got inf"),
         (lambda: closed_form_moments(preset_config("c", sigma_c=1e200), mean_weights()),
-         "var_a must be finite, got inf"),
+         "var_axis overflows the largest double; rescale sigma_c, s_a and s_b"),
     ], ids=["config-n-2", "config-seed-negative", "preset-seed-negative-numpy",
             "monte-carlo-1-trial", "error-variances-overflow", "closed-form-overflow"])
     def test_rejects_invalid_input(self, call, message):
@@ -295,6 +295,15 @@ class TestClosedFormMoments:
         assert ab.cov == pytest.approx(-ba.cov)
         assert ab.slope == pytest.approx(-ba.slope)
         assert ab.var_diff == ba.var_diff
+
+    @pytest.mark.parametrize("sigma_c", [1e100, 1e150])
+    def test_r_is_scale_free_where_var_diff_times_var_axis_overflows(self, sigma_c):
+        config = preset_config("b", sigma_c=sigma_c)
+        cf = closed_form_moments(config, mean_weights())
+        assert math.isinf(cf.var_diff * cf.var_axis)
+        fit = analyze(generate(config), axis="mean").fit
+        assert cf.r == pytest.approx(fit.r, rel=1e-8)
+        assert cf.slope == pytest.approx(fit.slope, rel=1e-8)
 
     @pytest.mark.parametrize("scale", [1e-170, 1e160, 2.0**-1000, 2.0**1000])
     def test_extreme_weights_keep_their_ratio(self, scale):
