@@ -127,7 +127,8 @@ class ReplicatedSample:
         subjects = tuple(dict.fromkeys(subject))
         index = {s: i for i, s in enumerate(subjects)}
         code = np.fromiter(map(index.__getitem__, subject), dtype=np.intp, count=len(subject))
-        is_b = np.fromiter(map("B".__eq__, method), dtype=bool, count=len(method))
+        # every label is "A" or "B" now: one byte each in the joined labels
+        is_b = np.frombuffer("".join(method).encode("ascii"), dtype=np.uint8) == ord("B")
         group = 2 * code + is_b
         order = np.lexsort((replicate, group))
         repeated = (np.diff(group[order]) == 0) & (np.diff(replicate[order]) == 0)

@@ -22,7 +22,7 @@ import sys
 from dataclasses import asdict
 from decimal import ROUND_HALF_UP, Context, Decimal
 from io import StringIO
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 
 import numpy as np
 
@@ -53,6 +53,9 @@ REPORT_VERSION = 1
 #: Lines per chunk: bounds the memory held at once by one chunk's fields and
 #: columns, or by the rows of one chunk where the csv module reads the text.
 _CHUNK_LINES = 4096
+#: The whitespace ``str.strip`` removes that can sit inside a line of ASCII
+#: text: every other ASCII whitespace character breaks the line.
+_ASCII_LINE_SPACE = (" ", "\t", "\x1f")
 
 
 class ParseError(ValueError):
@@ -95,17 +98,28 @@ def _columns(text: str, header: list[str]):
     """Yield the stripped columns of the data rows, at most ``_CHUNK_LINES`` rows at a time.
 
     Numbers nothing: a caller that needs the line of an error reads the text
-    again with :func:`_rows`. The csv module's default dialect splits a line
-    without ``"`` at every comma and nowhere else, so text without quotes whose
-    first non-empty line is the header and whose non-empty lines all have one
-    comma fewer than ``header`` has fields is split in one pass per chunk. Any
-    other text is read by :func:`_rows`. Yields at least one chunk, so that a
-    file with only a header reaches the sample's own checks.
+    again with :func:`_rows`. Text with a ``"``, or whose first non-empty line
+    is not the header, is read by :func:`_rows` whole; it alone handles quotes.
+
+    Otherwise the csv module's default dialect would split each line at every
+    comma and nowhere else, so the data lines are split a chunk at a time by
+    whole-chunk string methods. A chunk's n non-empty lines are joined with
+    ``",\\n"`` and split at the commas; each of the n - 1 newlines then starts
+    one field. The chunk is accepted when it has width * n fields and its first
+    column, every width-th field, holds all n - 1 newlines, so that joined and
+    split at them it gives n ids. That holds exactly when every line has width
+    fields: the newlines then start fields at multiples of width, so each line
+    has a multiple of width fields, and width * n in all leaves width for each.
+    Only a chunk with whitespace besides those newlines has its fields
+    stripped; a chunk that is not ASCII counts as having some. A chunk that
+    fails the check, such as one with a whitespace-only line or a wrong field
+    count, is read under the header by :func:`_rows`, whose messages then
+    number lines within the chunk. Yields at least one chunk, so that a file
+    with only a header reaches the sample's own checks.
     """
     width = len(header)
     lines = list(filter(None, text.removeprefix("\ufeff").splitlines()))
-    if ('"' in text or not lines or [f.strip().lower() for f in lines[0].split(",")] != header
-            or set(map(str.count, lines, repeat(","))) != {width - 1}):
+    if '"' in text or not lines or [f.strip().lower() for f in lines[0].split(",")] != header:
         del lines  # _rows splits the text again
         rows = (row for _, row in _rows(text, header))
         chunk = list(islice(rows, _CHUNK_LINES))
@@ -113,12 +127,20 @@ def _columns(text: str, header: list[str]):
             yield list(zip(*chunk)) or [[] for _ in header]
             if not (chunk := list(islice(rows, _CHUNK_LINES))):
                 return
-    for start in range(0, len(lines), _CHUNK_LINES):
-        fields = ",".join(lines[start:start + _CHUNK_LINES]).split(",")
-        columns = [list(map(str.strip, fields[k::width])) for k in range(width)]
-        if not start:  # the header
-            columns = [column[1:] for column in columns]
-        if "" in columns[0]:  # only a row whose first field is empty can be blank
+    for start in range(1, max(len(lines), 2), _CHUNK_LINES):
+        chunk = lines[start:start + _CHUNK_LINES]
+        joined = ",\n".join(chunk)
+        fields = joined.split(",")
+        ids = "".join(fields[::width]).split("\n")
+        if len(fields) != width * len(chunk) or len(ids) != len(chunk):
+            rows = [row for _, row in _rows("\n".join([lines[0], *chunk]), header)]
+            yield list(zip(*rows)) or [[] for _ in header]
+            continue
+        if not joined.isascii() or any(map(joined.__contains__, _ASCII_LINE_SPACE)):
+            fields = list(map(str.strip, fields))
+            ids = fields[::width]
+        columns = [ids, *(fields[k::width] for k in range(1, width))]
+        if "" in ids:  # only a row whose first field is empty can be blank
             keep = [i for i, row in enumerate(zip(*columns)) if any(row)]
             columns = [[column[i] for i in keep] for column in columns]
         yield columns

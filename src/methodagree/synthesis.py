@@ -36,7 +36,7 @@ from .agreement import (
     _unit_scaled,
     analyze,
 )
-from .numerics import orthonormalize
+from .numerics import _pow2_shift, orthonormalize
 
 __all__ = [
     "SyntheticConfig",
@@ -161,20 +161,37 @@ def closed_form_moments(
     moments are the Gram matrix of (v, u): cov = u.v, var_diff = u.u and
     var_axis = v.v; r and the trend slope follow. This is the independent
     check for everything :func:`generate` + :func:`~methodagree.agreement.analyze`
-    produce. A moment that overflows raises ValueError naming it.
+    produce. A moment or slope that overflows raises ValueError naming it.
     """
     u, v = _loadings(config, w, Direction(direction))
+    # each vector times the power of two that puts its largest entry in [0.5, 1):
+    # exact, so the products neither under- nor overflow, and in the normal range
+    # each moment below is the unscaled one, bit for bit
+    p, q = _pow2_shift(u), _pow2_shift(v)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
-        cov, var_diff, var_axis = float(u @ v), float(u @ u), float(v @ v)
-    for what, value in (("cov", cov), ("var_diff", var_diff), ("var_axis", var_axis)):
-        if not math.isfinite(value):
-            raise ValueError(f"{what} overflows the largest double; rescale sigma_c, s_a and s_b")
-    if var_diff > 0.0 and var_axis > 0.0:  # two roots: r is scale-free, the product is not
-        r = cov / (math.sqrt(var_diff) * math.sqrt(var_axis))
-    else:
-        r = 0.0
-    slope = cov / var_axis if var_axis > 0.0 else 0.0
+        u, v = np.ldexp(u, p), np.ldexp(v, q)
+        uv, uu, vv = float(u @ v), float(u @ u), float(v @ v)
+    cov = _ldexp_or_raise("cov", uv, -p - q)
+    var_diff = _ldexp_or_raise("var_diff", uu, -2 * p)
+    var_axis = _ldexp_or_raise("var_axis", vv, -2 * q)
+    # a product of two roots: in the normal range it rounds as the unscaled moments' would
+    r = uv / (math.sqrt(uu) * math.sqrt(vv)) if uu > 0.0 and vv > 0.0 else 0.0
+    # the slope is scale-free: sigma_c, s_a and s_b scale u and v alike
+    slope = (_ldexp_or_raise("slope", uv / vv, q - p, "the axis barely varies next to the "
+                             "difference, at any scale") if vv > 0.0 else 0.0)
     return ClosedFormMoments(cov=cov, var_diff=var_diff, var_axis=var_axis, r=r, slope=slope)
+
+
+def _ldexp_or_raise(what: str, value: float, shift: int,
+                    cure: str = "rescale sigma_c, s_a and s_b") -> float:
+    """``value * 2**shift``; a result beyond the largest double raises ValueError naming ``what``."""
+    try:
+        value = math.ldexp(value, shift)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{what} overflows the largest double; {cure}")
+    return value
 
 
 def _loadings(config: SyntheticConfig, w: WeightPair, direction: Direction

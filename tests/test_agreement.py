@@ -116,6 +116,21 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="^replicate indices must be integers$"):
             ReplicatedSample(["s1"] * 4, ["A", "A", "B", "B"], column, [1.0, 2.0, 3.0, 4.0])
 
+    @pytest.mark.parametrize("as_labels", [list, tuple, np.array], ids=["list", "tuple", "array"])
+    def test_replicated_columns_equal_for_every_label_container(self, as_labels):
+        # ReplicatedSample(*zip(*rows)) passes each column as a tuple
+        rows = [("s2", "B", 1, 5.0), ("s1", "A", 1, 1.0), ("s2", "A", 2, 4.0), ("s1", "B", 2, 2.5),
+                ("s1", "A", 2, 1.5), ("s2", "B", 2, 6.0), ("s1", "B", 1, 3.0), ("s2", "A", 1, 3.5)]
+        subject, method, replicate, value = map(list, zip(*rows))
+        got = ReplicatedSample(subject, as_labels(method), replicate, value)
+        assert got.subjects == ("s2", "s1")
+        np.testing.assert_array_equal(got.is_b, [m == "B" for m in method])
+        assert got.is_b.dtype == bool
+        np.testing.assert_array_equal(got.subject_code, [0, 1, 0, 1, 1, 0, 1, 0])
+        np.testing.assert_array_equal(got.replicate, replicate)
+        np.testing.assert_array_equal(got.value, value)
+        assert estimate_variances(got) == estimate_variances(ReplicatedSample(*zip(*rows)))
+
     def test_replicated_rejects_ragged_columns(self):
         with pytest.raises(ValueError, match="differ in length"):
             ReplicatedSample(["s1", "s1"], ["A", "A"], [1, 2], [1.0])

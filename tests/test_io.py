@@ -256,6 +256,48 @@ class TestReplicatedErrorLines:
         np.testing.assert_array_equal(reps.replicate, [1, 2, 1, 2])
 
 
+class TestChunkSplit:
+    """Quote-free chunks of three data lines, as ``_columns`` splits them."""
+
+    @pytest.fixture(autouse=True)
+    def three_line_chunks(self, monkeypatch):
+        monkeypatch.setattr(methodagree_io, "_CHUNK_LINES", 3)
+
+    ROWS = [f"{s},{m},{r},{10 * i + r}.5" for i, s in enumerate(["S1", "S2", "S3"])
+            for m in "AB" for r in (1, 2)]
+
+    @pytest.mark.parametrize("before", [0, 3])  # in the first chunk, or the second
+    def test_comma_total_right_but_lines_misaligned(self, before):
+        # 5 + 3 fields: two lines' worth of commas, split across them wrongly. Read
+        # four fields at a time and stripped (the space forces it), the chunk
+        # would make a valid sample: only the line check can reject it.
+        s0 = ["S0,A,1,1.0", "S0,A,2,2.0", "S0,B,1,3.0", "S0,B,2,4.0"]
+        lines = ["subject,method,replicate,value", *s0[:before],
+                 "S1,A,1,2.0,S1", "A,2,3.0", " S1,B,1,1.5", "S1,B,2,2.5",
+                 "S2,A,1,1.0", "S2,A,2,2.0", "S2,B,1,3.0", "S2,B,2,4.0", *s0[before:]]
+        with pytest.raises(ParseError, match=re.escape(
+                f"line {before + 2}: expected 4 fields, got 5")):
+            parse_replicated("\n".join(lines) + "\n")
+
+    def test_blank_line_padding_and_crlf_parse_as_clean_text(self):
+        clean = parse_replicated("\n".join(["subject,method,replicate,value", *self.ROWS]))
+        # ASCII whitespace pads rows 7-9, one chunk, and "\xa0" the last two
+        padded = [" \t" + row.replace(",", " ,\t", 1) + ("\xa0" if i >= 10 else "\x1f")
+                  for i, row in enumerate(self.ROWS)]
+        # whitespace-only lines end the first chunk and sit inside the third
+        lines = ["Subject, method ,replicate,value", *padded[:2], "  \t",
+                 *self.ROWS[2:6], "\t", *padded[6:]]
+        messy = parse_replicated("\r\n".join(lines) + "\r\n")
+        assert messy.subjects == clean.subjects == ("S1", "S2", "S3")
+        for name in ("subject_code", "is_b", "replicate", "value"):
+            np.testing.assert_array_equal(getattr(messy, name), getattr(clean, name))
+
+    def test_ascii_line_space_is_every_ascii_space_inside_a_line(self):
+        inside = {c for c in map(chr, range(128))
+                  if c.isspace() and len(f"x{c}x".splitlines()) == 1}
+        assert set(methodagree_io._ASCII_LINE_SPACE) == inside
+
+
 class TestUnterminatedQuote:
     """A quote left open swallows the rest of the file into one field."""
 
@@ -331,7 +373,9 @@ def _column_chunks(text: str, header: list[str]):
         yield [], columns
 
 
-_FIELDS = ["", " ", "\t", "s1", " S2 ", "A", "B", "1", " 2.5", "-3e4 ", "x y"]
+# "\xa0", "\u3000" and "\x1f" are whitespace to str.strip and str.split, but break no line
+_FIELDS = ["", " ", "\t", "s1", " S2 ", "A", "B", "1", " 2.5", "-3e4 ", "x y",
+           "\xa0", "\u3000", " \x1f"]
 _QUOTED = ['"', '""', '"q,1"', '"a""b"', ' "c" ', '"\r\n"', '"d\ne"']
 
 

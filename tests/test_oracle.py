@@ -15,7 +15,8 @@ examples of the strategy below, the largest errors were 2.29 ulps of max|y|
 for the mean and 2.14 · 2**-52 · max|y|**2 for the variance. For
 ``closed_form_moments``, see ``CLOSED_FORM_UNITS``. The bounds leave room
 above those for inputs the draws missed; an error of the formula, such as
-the divisor n for n - 1, misses them by far.
+the divisor n for n - 1, misses them by far. For the weighted average and
+the covariance identities, see ``WEIGHTED_AVERAGE_UNITS``.
 """
 
 import math
@@ -25,7 +26,14 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from methodagree.agreement import Direction, WeightPair
+from methodagree.agreement import (
+    Direction,
+    WeightPair,
+    WithinSubjectVariance,
+    general_covariance_identity,
+    predicted_covariance,
+    weighted_average,
+)
 from methodagree.numerics import linear_fit
 from methodagree.synthesis import SyntheticConfig, closed_form_moments
 
@@ -127,3 +135,73 @@ def test_closed_form_moments_match_exact_rationals(case):
     assume(var_diff and var_axis)  # r is 0 there by definition, tested in test_synthesis
     errors = _closed_form_errors(*case)
     assert all(errors[name] <= bound for name, bound in CLOSED_FORM_UNITS.items()), errors
+
+
+# Errors of weighted_average, general_covariance_identity and
+# predicted_covariance, in units of 2**-52 times the scale of their inputs:
+# max(|a|, |b|); the largest of var_a, var_b and |cov_ab|; the larger variance.
+# A result that nearly cancels can be hundreds of ulps off itself, so only the
+# inputs' scale gives a bound. Measured worst cases over 360,000 numpy draws
+# like the strategies below (five seeds) and 20,000 targeted examples of each
+# strategy: 1.47, 2.36 and 1.54. The weighted average moves equal
+# measurements: over 20,000 draws of a = b in [-1e3, 1e3] with both variances
+# in [1e-3, 1e3], 7,388 came back off a, by up to 1.56.
+WEIGHTED_AVERAGE_UNITS = 3
+IDENTITY_UNITS = 4
+PREDICTED_UNITS = 3
+
+_variance = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(1e-300, 1e300))
+
+
+@given(_variance, _variance, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.booleans(),
+       st.sampled_from([1.0, 1e300, 1e-300]))
+@settings(max_examples=60, deadline=None)
+def test_weighted_average_matches_exact_rationals(s_wa2, s_wb2, a, b, equal, scale):
+    assume(s_wa2 or s_wb2)
+    a, b = a * scale, (a if equal else b) * scale
+    largest = max(abs(a), abs(b))
+    assume(largest >= 2.0**-1000)  # below this the result rounds in the subnormal range
+    got = weighted_average(a, b, WithinSubjectVariance(s_wa2, s_wb2))
+    exact = (Fraction(s_wb2) * Fraction(a) + Fraction(s_wa2) * Fraction(b)) / (
+        Fraction(s_wa2) + Fraction(s_wb2))
+    assert abs(Fraction(float(got)) - exact) <= WEIGHTED_AVERAGE_UNITS * Fraction(largest) / 2**52
+
+
+@st.composite
+def _moments(draw):
+    """Weights (not both 0) and var_a, var_b, cov_ab, mostly with |cov_ab| <= sqrt(var_a * var_b)."""
+    alpha, beta = draw(_variance), draw(_variance)
+    assume(alpha or beta)
+    var_a, var_b = draw(_variance), draw(_variance)
+    scale = max(var_a, var_b)
+    assume(2.0**-1000 <= scale < 1e300)  # no subnormal result, and (beta - alpha) * cov_ab fits
+    if draw(st.booleans()):
+        cov_ab = draw(st.floats(-1.0, 1.0)) * math.sqrt(var_a) * math.sqrt(var_b)
+    else:
+        cov_ab = draw(st.floats(-scale, scale))
+    return WeightPair(alpha, beta), var_a, var_b, cov_ab
+
+
+def _exact_identity(w: WeightPair, var_a: float, var_b: float, cov_ab: float) -> Fraction:
+    alpha, beta = Fraction(w.alpha), Fraction(w.beta)
+    return (alpha * Fraction(var_a) - beta * Fraction(var_b)
+            + (beta - alpha) * Fraction(cov_ab)) / (alpha + beta)
+
+
+@given(_moments())
+@settings(max_examples=60, deadline=None)
+def test_covariance_identity_matches_exact_rationals(moments):
+    w, var_a, var_b, cov_ab = moments
+    got = general_covariance_identity(w, var_a, var_b, cov_ab)
+    scale = Fraction(max(var_a, var_b, abs(cov_ab)))
+    assert abs(Fraction(got) - _exact_identity(*moments)) <= IDENTITY_UNITS * scale / 2**52
+
+
+@given(_moments(), st.sampled_from(["a-b", "b-a"]))
+@settings(max_examples=40, deadline=None)
+def test_predicted_covariance_matches_exact_rationals(moments, direction):
+    w, var_a, var_b, _ = moments
+    got = predicted_covariance(w, WithinSubjectVariance(var_a, var_b), direction)
+    exact = _exact_identity(w, var_a, var_b, 0.0)
+    exact = exact if Direction(direction) is Direction.A_MINUS_B else -exact
+    assert abs(Fraction(got) - exact) <= PREDICTED_UNITS * Fraction(max(var_a, var_b)) / 2**52

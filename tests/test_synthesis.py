@@ -63,8 +63,13 @@ class TestConfig:
         (lambda: SyntheticConfig(s_a=1e200).error_variances(), "s_wa2 must be finite, got inf"),
         (lambda: closed_form_moments(preset_config("c", sigma_c=1e200), mean_weights()),
          "var_axis overflows the largest double; rescale sigma_c, s_a and s_b"),
+        (lambda: closed_form_moments(SyntheticConfig(k_a=0.0, k_b=1.0, s_a=0.0, s_b=1.0),
+                                     WeightPair(1.0, 1e-320)),
+         "slope overflows the largest double; the axis barely varies next to the difference, "
+         "at any scale"),
     ], ids=["config-n-2", "config-seed-negative", "preset-seed-negative-numpy",
-            "monte-carlo-1-trial", "error-variances-overflow", "closed-form-overflow"])
+            "monte-carlo-1-trial", "error-variances-overflow", "closed-form-overflow",
+            "closed-form-slope-overflow"])
     def test_rejects_invalid_input(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
@@ -304,6 +309,15 @@ class TestClosedFormMoments:
         fit = analyze(generate(config), axis="mean").fit
         assert cf.r == pytest.approx(fit.r, rel=1e-8)
         assert cf.slope == pytest.approx(fit.slope, rel=1e-8)
+
+    @pytest.mark.parametrize("beta", [1e-170, 1e-300])
+    def test_r_and_slope_survive_an_axis_variance_below_the_smallest_double(self, beta):
+        # v.v underflows to 0, but r and the slope are ratios of u and v, here parallel
+        config = SyntheticConfig(k_a=0.0, k_b=1.0, s_a=0.0, s_b=1.0)
+        cf = closed_form_moments(config, WeightPair(1.0, beta))
+        assert cf.var_axis == 0.0
+        assert cf.r == pytest.approx(1.0, abs=4 * 2.0**-52)
+        assert cf.slope == pytest.approx(1.0 + 1.0 / beta, rel=4 * 2.0**-52)
 
     @pytest.mark.parametrize("scale", [1e-170, 1e160, 2.0**-1000, 2.0**1000])
     def test_extreme_weights_keep_their_ratio(self, scale):
