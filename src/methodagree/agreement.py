@@ -265,7 +265,12 @@ def weighted_average(a, b, v: WithinSubjectVariance):
     scaled by an exact power of two first, so huge or subnormal variances
     neither overflow nor lose digits. Accepts scalars or arrays.
     """
-    alpha, beta = _unit_scaled(WeightPair.from_variances(v))
+    return _weighted_by(WeightPair.from_variances(v), a, b)
+
+
+def _weighted_by(w: WeightPair, a, b):
+    """``(alpha * a + beta * b) / (alpha + beta)`` with the weights of ``w``, unit-scaled."""
+    alpha, beta = _unit_scaled(w)
     return (alpha * np.asarray(a) + beta * np.asarray(b)) / (alpha + beta)
 
 
@@ -349,7 +354,9 @@ def analyze(
     AgreementResult
         Bias, limits of agreement at ``bias +- 1.96 * sd(difference)``, the
         trend fit of the differences on the axis values, and the plotted
-        points.
+        points. The fit overwrites the columns it is given, so the points
+        are built again after it, by the same operations: the peak memory is
+        two n-vectors besides the sample, and ``sample`` is left unchanged.
     """
     _real("confidence", confidence)
     axis = AxisKind(axis)
@@ -359,14 +366,31 @@ def analyze(
     if axis is AxisKind.WEIGHTED_AVERAGE and variances is None:
         raise ValueError("weighted-average axis requires within-subject variances")
     weights = None if axis is AxisKind.ARITHMETIC_MEAN else WeightPair.from_variances(variances)
+
+    # Each column is built twice: once for the fit, which centres it in place,
+    # and once for the result. The axis comes first, so that the weighted
+    # average's two temporaries never sit beside the difference.
+    def axis_column():
+        return (a + b) / 2.0 if weights is None else _weighted_by(weights, a, b)
+
+    def difference_column():
+        return a - b if direction is Direction.A_MINUS_B else b - a
+
     try:  # ``what`` names the step that overflows
         with np.errstate(over="raise"):
-            what = f"the difference {direction.value}"
-            diffs = a - b if direction is Direction.A_MINUS_B else b - a
             what = "the sum a + b of the mean axis" if weights is None else "the weighted average"
-            axis_values = (a + b) / 2.0 if weights is None else weighted_average(a, b, variances)
+            try:
+                axis_values = axis_column()
+            except FloatingPointError:
+                with np.errstate(over="ignore"):  # where both overflow, name the difference
+                    if not np.isfinite(difference_column()).all():
+                        what = f"the difference {direction.value}"
+                raise
+            what = f"the difference {direction.value}"
+            diffs = difference_column()
         what = "the trend slope"
         fit, bias, sd = linear_fit(axis_values, diffs, confidence=confidence)
+        del axis_values, diffs  # consumed: the fit scaled and centred them in place
         _require_no_overflow(fit.slope, fit.slope_se, fit.ci_low, fit.ci_high)
         what = "the trend intercept"
         _require_no_overflow(fit.intercept)
@@ -389,6 +413,6 @@ def analyze(
         loa_low=loa_low,
         loa_high=loa_high,
         fit=fit,
-        axis_values=axis_values,
-        differences=diffs,
+        axis_values=axis_column(),
+        differences=difference_column(),
     )

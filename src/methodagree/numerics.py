@@ -54,10 +54,14 @@ def _centred(v: np.ndarray) -> tuple[float, np.ndarray, int]:
     The shift puts the largest |v| in [0.5, 1). Scaling by a power of two is
     exact, so in the normal range every later moment is the unscaled one
     times a power of two, bit for bit, while data near 1e300 or 1e-300
-    neither overflow nor underflow in squares and products.
+    neither overflow nor underflow in squares and products. A C-contiguous,
+    writeable float64 ``v`` is consumed: it is scaled and centred in place
+    and is itself the result. Any other is copied, as a strided vector
+    would be summed in another order.
     """
     shift = _pow2_shift(v)
-    scaled = np.ldexp(v, shift)
+    in_place = v.flags.c_contiguous and v.flags.writeable
+    scaled = np.ldexp(v, shift, out=v if in_place else None)
     centre = float(scaled.mean())
     scaled -= centre
     return math.ldexp(centre, -shift), scaled, shift
@@ -116,7 +120,10 @@ def linear_fit(x, y, confidence: float = 0.95) -> tuple[RegressionFit, float, fl
     Each vector is centred once and scaled by an exact power of two, so data
     near 1e300 or 1e-300 fit as well as data near 1. ``y_mean`` and
     ``y_sd`` (divisor n - 1) come from that one pass over y; ``y_sd`` is
-    ``inf`` when it exceeds the largest double.
+    ``inf`` when it exceeds the largest double. x and y are consumed: a
+    C-contiguous, writeable float64 array is scaled and centred in place,
+    and holds those values afterwards. A strided or read-only array, or any
+    other input, is copied first; the fit is the same, bit for bit.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
@@ -157,18 +164,21 @@ def linear_fit(x, y, confidence: float = 0.95) -> tuple[RegressionFit, float, fl
 
 # --- Whitening --------------------------------------------------------------
 
+_WHITEN_BLOCK = 8192  # columns per product with the whitener in orthonormalize
+
 
 def orthonormalize(rows) -> np.ndarray:
     """Center and whiten the rows of a (k, n) matrix.
 
-    Returns a new (k, n) matrix whose rows have sample mean 0, sample
-    variance exactly 1 and pairwise sample covariance 0, spanning the same
-    space as the centered input. Symmetric (eigenvector-based) whitening is
-    used, followed by a per-row rescale that pins the unit variances down to
-    float precision. A C-ordered float64 input is overwritten: it is scaled
-    in place by one power of two, so that data far from unit scale neither
-    overflow nor underflow, and centred in place. Any other layout or dtype
-    is copied first, so the whitened output is the only other (k, n) array.
+    Returns a (k, n) matrix whose rows have sample mean 0, sample variance
+    exactly 1 and pairwise sample covariance 0, spanning the same space as
+    the centered input. Symmetric (eigenvector-based) whitening is used,
+    followed by a per-row rescale that pins the unit variances down to float
+    precision. A C-ordered float64 input is whitened in place and returned:
+    it is scaled by one power of two, so that data far from unit scale
+    neither overflow nor underflow, centred, and multiplied by the whitener
+    one block of columns at a time, which gives the bits of the whole
+    product. Any other layout or dtype is copied first, and the copy returned.
 
     Raises :class:`DegenerateDataError` when the centered rows of the finite
     input are not linearly independent, as with fewer than k + 1 columns; if
@@ -187,7 +197,8 @@ def orthonormalize(rows) -> np.ndarray:
             "if they came from a random draw, retry with a different seed"
         )
     whitener = eigvecs @ np.diag(1.0 / np.sqrt(eigvals)) @ eigvecs.T
-    out = whitener @ x
-    out -= out.mean(axis=1, keepdims=True)  # a large offset leaves a residual mean
-    out /= np.sqrt(np.einsum("ij,ij->i", out, out) / (n - 1))[:, None]
-    return out
+    for lo in range(0, n, _WHITEN_BLOCK):
+        x[:, lo:lo + _WHITEN_BLOCK] = whitener @ x[:, lo:lo + _WHITEN_BLOCK]
+    x -= x.mean(axis=1, keepdims=True)  # a large offset leaves a residual mean
+    x /= np.sqrt(np.einsum("ij,ij->i", x, x) / (n - 1))[:, None]
+    return x

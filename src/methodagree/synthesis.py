@@ -133,9 +133,15 @@ def generate(config: SyntheticConfig) -> PairedSample:
     if config.exact_moments:
         rows = orthonormalize(rows)
     c = np.multiply(rows[0], config.sigma_c, out=rows[0])
-    # fresh arrays: views would keep all of ``rows`` alive inside the sample
-    return PairedSample(a=config.k_a * c + config.s_a * rows[1],
-                        b=config.k_b * c + config.s_b * rows[2])
+    # k * c + s * e with the error rows scaled in place: the same roundings, no
+    # temporary; fresh arrays, as views would keep all of ``rows`` alive in the sample
+    rows[1] *= config.s_a
+    rows[2] *= config.s_b
+    a = config.k_a * c
+    a += rows[1]
+    b = config.k_b * c
+    b += rows[2]
+    return PairedSample(a=a, b=b)
 
 
 @dataclass(frozen=True)
@@ -176,6 +182,7 @@ def closed_form_moments(
     var_axis = _ldexp_or_raise("var_axis", vv, -2 * q)
     # a product of two roots: in the normal range it rounds as the unscaled moments' would
     r = uv / (math.sqrt(uu) * math.sqrt(vv)) if uu > 0.0 and vv > 0.0 else 0.0
+    r = min(1.0, max(-1.0, r))  # as in linear_fit: parallel u and v can round an ulp past 1
     # the slope is scale-free: sigma_c, s_a and s_b scale u and v alike
     slope = (_ldexp_or_raise("slope", uv / vv, q - p, "the axis barely varies next to the "
                              "difference, at any scale") if vv > 0.0 else 0.0)

@@ -1,6 +1,7 @@
 import math
 import re
 import reprlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,13 @@ from methodagree.agreement import (
     weighted_average,
 )
 from methodagree.io import write_paired
-from methodagree.numerics import DegenerateDataError, _centred, covariance, variance
+from methodagree.numerics import (
+    DegenerateDataError,
+    _centred,
+    covariance,
+    linear_fit,
+    variance,
+)
 from methodagree.synthesis import closed_form_moments, monte_carlo_covariance, preset_config
 
 
@@ -559,6 +566,47 @@ class TestAnalyze:
         sample = PairedSample(a=[1e308, -1e308, 0.0], b=[-1e308, 1e308, 1.0])
         with pytest.raises(ValueError, match="the difference b-a overflows"):
             analyze(sample, axis=axis, variances=WithinSubjectVariance(1.0, 1.0))
+
+    @pytest.mark.parametrize("axis", ["mean", "weighted"])
+    def test_difference_is_named_where_the_axis_overflows_too(self, axis):
+        # b - a and, on the mean axis, a + b overflow: the difference is named first
+        sample = PairedSample(a=[1.7e308, -1.7e308, 0.0], b=[1.7e308, 1.7e308, 1.0])
+        with pytest.raises(ValueError, match="^the difference b-a overflows"):
+            analyze(sample, axis=axis, variances=WithinSubjectVariance(1.0, 1.0))
+
+    @pytest.mark.parametrize("direction", ["a-b", "b-a"])
+    @pytest.mark.parametrize("axis", ["mean", "weighted"])
+    def test_sample_unchanged_and_fit_equals_a_fit_of_copies(self, axis, direction):
+        # the fit centres the columns it is given in place; the result's columns are
+        # built again, and the sample is only read
+        sample = random_sample(np.random.default_rng(10), n=1000)
+        a, b = sample.a.copy(), sample.b.copy()
+        res = analyze(sample, axis=axis, direction=direction,
+                      variances=WithinSubjectVariance(1.5, 6.0))
+        assert np.array_equal(sample.a, a) and np.array_equal(sample.b, b)
+        fit, bias, _ = linear_fit(res.axis_values.copy(), res.differences.copy())
+        assert (res.fit, res.bias) == (fit, bias)
+        axis_values = (a + b) / 2.0 if axis == "mean" else weighted_average(
+            a, b, WithinSubjectVariance(1.5, 6.0))
+        assert np.array_equal(res.axis_values, axis_values)
+        assert np.array_equal(res.differences, a - b if direction == "a-b" else b - a)
+
+    @pytest.mark.parametrize("axis", ["mean", "weighted"])
+    def test_peak_memory_is_the_two_result_columns(self, axis):
+        # the fit centres the analysis' own columns in place, and the result's columns
+        # are built after it; a copy of either in the fit breaks the bound
+        n = 200_000
+        sample = random_sample(np.random.default_rng(11), n=n)
+        variances = WithinSubjectVariance(1.5, 6.0)
+        analyze(random_sample(np.random.default_rng(12)), axis=axis, variances=variances)
+        tracemalloc.start()
+        try:
+            res = analyze(sample, axis=axis, variances=variances)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.n == n
+        assert peak <= 2 * n * 8 + 2**20
 
     def test_constant_axis_rejected(self):
         sample = PairedSample(a=[1.0, 2.0, 3.0], b=[3.0, 2.0, 1.0])

@@ -90,9 +90,9 @@ class TestPearson:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=12)
         y = rng.normal(size=12)
-        r = linear_fit(x, y)[0].r
-        assert linear_fit(scale * x + shift, y)[0].r == pytest.approx(r, abs=1e-9)
-        assert linear_fit(-scale * x + shift, y)[0].r == pytest.approx(-r, abs=1e-9)
+        r = linear_fit(x.copy(), y.copy())[0].r
+        assert linear_fit(scale * x + shift, y.copy())[0].r == pytest.approx(r, abs=1e-9)
+        assert linear_fit(-scale * x + shift, y.copy())[0].r == pytest.approx(-r, abs=1e-9)
 
 
 class TestCorrelationPValue:
@@ -220,7 +220,7 @@ class TestLinearFit:
         for _ in range(20):
             x = rng.normal(size=30) * 5
             y = 0.4 * x + rng.normal(size=30)
-            fit, _, _ = linear_fit(x, y)
+            fit, _, _ = linear_fit(x.copy(), y.copy())
             assert fit.slope == pytest.approx(
                 covariance(x, y) / variance(x), rel=1e-12
             )
@@ -231,7 +231,7 @@ class TestLinearFit:
             n = int(rng.integers(5, 80))
             x = rng.normal(size=n) * rng.uniform(0.5, 20)
             y = rng.uniform(-2, 2) * x + rng.normal(size=n)
-            fit, _, _ = linear_fit(x, y)
+            fit, _, _ = linear_fit(x.copy(), y.copy())
             ref = stats.linregress(x, y)
             assert fit.slope == pytest.approx(ref.slope, rel=1e-10)
             assert fit.intercept == pytest.approx(ref.intercept, rel=1e-8, abs=1e-10)
@@ -244,7 +244,7 @@ class TestLinearFit:
         x = rng.normal(size=40)
         y = 1.2 * x + rng.normal(size=40)
         for conf in (0.5, 0.9, 0.95, 0.99):
-            fit, _, _ = linear_fit(x, y, confidence=conf)
+            fit, _, _ = linear_fit(x.copy(), y.copy(), confidence=conf)
             assert fit.ci_low <= fit.slope <= fit.ci_high
 
     def test_confidence_domain(self):
@@ -269,6 +269,26 @@ class TestLinearFit:
         ref, _, _ = linear_fit(x, 0.3 * x + y)
         fit, _, _ = linear_fit(np.ldexp(x, shift), np.ldexp(0.3 * x + y, shift))
         assert fit == dataclasses.replace(ref, intercept=math.ldexp(ref.intercept, shift))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300])
+    def test_centring_in_place_gives_the_fit_of_a_copy(self, scale):
+        # a read-only input is copied first; a writeable one is consumed, by the same bits
+        x, y = np.random.default_rng(2).normal(size=(2, 100)) * scale
+        x0, y0 = x.copy(), y.copy()
+        x0.flags.writeable = y0.flags.writeable = False
+        ref = linear_fit(x0, y0)
+        assert np.array_equal(x, x0) and np.array_equal(y, y0)
+        assert linear_fit(x, y) == ref
+        # the buffers now hold the values scaled near unit size and centred
+        for v in (x, y):
+            assert abs(v.mean()) <= 1e-15 and np.abs(v).max() <= 2.0
+
+    def test_strided_input_is_copied(self):
+        # a strided vector is summed in another order than a contiguous one
+        x, y, _ = np.random.default_rng(2).normal(size=(100, 3)).T
+        ref = linear_fit(x.copy(), y.copy())
+        assert linear_fit(x, y) == ref
+        assert np.array_equal(x, np.random.default_rng(2).normal(size=(100, 3))[:, 0])
 
 
 def _assert_whitened(out: np.ndarray):

@@ -168,8 +168,9 @@ class TestGenerate:
                 sample, (a, b) = generate(config), single_draw_reference(config)
                 assert np.array_equal(sample.a, a) and np.array_equal(sample.b, b), (seed, n)
 
-    def test_peak_memory_is_two_signal_arrays(self):
-        # the (3, n) signals and their whitened copy; a third (n, 3) array breaks the bound
+    def test_peak_memory_is_the_signals_and_the_measurements(self):
+        # the (3, n) signals, whitened and scaled in place, and the two measurement
+        # vectors; a whitened copy of the signals or a temporary n-vector breaks the bound
         n = 200_000
         generate(preset_config("c", n=100))  # lazy set-up outside the trace
         tracemalloc.start()
@@ -179,7 +180,7 @@ class TestGenerate:
         finally:
             tracemalloc.stop()
         assert sample.n == n
-        assert peak <= 2 * (3 * n * 8) + 2**20
+        assert peak <= (3 * n + 2 * n) * 8 + 2**20
 
     @pytest.mark.parametrize("label", sorted(CASE_PRESETS))
     @pytest.mark.parametrize("n", [4, 100, 10_000])
@@ -318,6 +319,15 @@ class TestClosedFormMoments:
         assert cf.var_axis == 0.0
         assert cf.r == pytest.approx(1.0, abs=4 * 2.0**-52)
         assert cf.slope == pytest.approx(1.0 + 1.0 / beta, rel=4 * 2.0**-52)
+
+    def test_r_of_parallel_loadings_is_clamped_to_one(self):
+        config = SyntheticConfig(k_a=0.0, k_b=1.0, s_a=0.0, s_b=1.0)
+        assert closed_form_moments(config, WeightPair(1.0, 1e-170)).r == 1.0
+        # u and v stay parallel for every beta; unclamped, r rounds past 1 for many of them
+        for direction in ("a-b", "b-a"):
+            rs = [closed_form_moments(config, WeightPair(1.0, 10.0**-k), direction).r
+                  for k in range(160)]
+            assert all(abs(r) <= 1.0 for r in rs), direction
 
     @pytest.mark.parametrize("scale", [1e-170, 1e160, 2.0**-1000, 2.0**1000])
     def test_extreme_weights_keep_their_ratio(self, scale):
