@@ -127,15 +127,23 @@ class ReplicatedSample:
         subjects = tuple(dict.fromkeys(subject))
         index = {s: i for i, s in enumerate(subjects)}
         code = np.fromiter(map(index.__getitem__, subject), dtype=np.intp, count=len(subject))
+        del index
         # every label is "A" or "B" now: one byte each in the joined labels
         is_b = np.frombuffer("".join(method).encode("ascii"), dtype=np.uint8) == ord("B")
         group = 2 * code + is_b
         order = np.lexsort((replicate, group))
-        repeated = (np.diff(group[order]) == 0) & (np.diff(replicate[order]) == 0)
+        # one sorted copy at a time, each compared with itself shifted by one row
+        ordered = group[order]
+        del group
+        repeated = ordered[1:] == ordered[:-1]
+        ordered = replicate[order]
+        repeated &= ordered[1:] == ordered[:-1]
+        del ordered
         if repeated.any():
             row = order[1:][repeated].min()
             raise ValueError(f"duplicate replicate {replicate[row]} for subject "
                              f"{subject[row]!r}, method {method[row]}")
+        del order, repeated  # n-length; the pooling below needs neither
         groups = {m: (code[r], value[r]) for m, r in (("A", ~is_b), ("B", is_b))}
         counts = {m: np.bincount(c, minlength=len(subjects)) for m, (c, _) in groups.items()}
         odd = sorted(subjects[i] for i in np.flatnonzero((counts["A"] == 0) | (counts["B"] == 0)))

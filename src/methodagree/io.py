@@ -50,9 +50,14 @@ __all__ = [
 
 REPORT_FORMAT = "methodagree.report"
 REPORT_VERSION = 1
+#: Characters per piece of text that :func:`_lines` splits at once.
+_PIECE_CHARS = 32 * 1024
 #: Lines per chunk: bounds the memory held at once by one chunk's fields and
 #: columns, or by the rows of one chunk where the csv module reads the text.
-_CHUNK_LINES = 4096
+#: Both readers take their lines from the text a piece at a time, so neither
+#: holds every line; a text with no ``"\n"``, such as one with CR-only line
+#: endings, is one piece.
+_CHUNK_LINES = 1024
 #: The whitespace ``str.strip`` removes that can sit inside a line of ASCII
 #: text: every other ASCII whitespace character breaks the line.
 _ASCII_LINE_SPACE = (" ", "\t", "\x1f")
@@ -62,16 +67,35 @@ class ParseError(ValueError):
     """Malformed input file; the message names the offending line."""
 
 
+def _lines(text: str, keepends: bool = False):
+    """The lines of ``text`` as ``text.splitlines(keepends)`` gives them, a piece at a time.
+
+    Each piece but the last holds at least ``_PIECE_CHARS`` characters and ends
+    just after a ``"\\n"``, so that no ``"\\r\\n"`` is cut. The lines of the
+    pieces are chained in C, and only one piece's lines are held at once.
+    """
+    def pieces():
+        start = 0
+        while start < len(text):
+            end = text.find("\n", start + _PIECE_CHARS - 1) + 1 or len(text)
+            yield text[start:end].splitlines(keepends)
+            start = end
+
+    return chain.from_iterable(pieces())
+
+
 def _rows(text: str, header: list[str]):
     """Yield the line number and stripped fields of each non-blank data row.
 
     The only reader that numbers lines: one ``csv.reader`` over the lines with
-    their breaks, so a quoted field may span lines and keeps them. A record is
-    numbered by the line it starts on. A csv error, a wrong header (matched
-    without regard to case), a wrong field count or empty input raises a
-    :class:`ParseError` naming that line.
+    their breaks, so a quoted field may span lines and keeps them. The lines
+    come from :func:`_lines`, a piece of the text at a time, so no list of
+    every line is built; a text with no ``"\\n"``, such as one with CR-only
+    line endings, is one piece. A record is numbered by the line it starts
+    on. A csv error, a wrong header (matched without regard to case), a wrong
+    field count or empty input raises a :class:`ParseError` naming that line.
     """
-    reader = csv.reader(text.removeprefix("\ufeff").splitlines(keepends=True))
+    reader = csv.reader(_lines(text.removeprefix("\ufeff"), keepends=True))
     width, seen_header, done = len(header), False, 0
     try:
         for row in reader:
@@ -99,7 +123,10 @@ def _columns(text: str, header: list[str]):
 
     Numbers nothing: a caller that needs the line of an error reads the text
     again with :func:`_rows`. Text with a ``"``, or whose first non-empty line
-    is not the header, is read by :func:`_rows` whole; it alone handles quotes.
+    is not the header, is read by :func:`_rows` throughout; it alone handles
+    quotes. Either way the lines come from :func:`_lines`, a piece of the text
+    at a time, so no list of every line is built; a text with no ``"\\n"``,
+    such as one with CR-only line endings, is one piece.
 
     Otherwise the csv module's default dialect would split each line at every
     comma and nowhere else, so the data lines are split a chunk at a time by
@@ -118,32 +145,34 @@ def _columns(text: str, header: list[str]):
     with only a header reaches the sample's own checks.
     """
     width = len(header)
-    lines = list(filter(None, text.removeprefix("\ufeff").splitlines()))
-    if '"' in text or not lines or [f.strip().lower() for f in lines[0].split(",")] != header:
-        del lines  # _rows splits the text again
+    lines = filter(None, _lines(text.removeprefix("\ufeff")))
+    header_line = next(lines, "")
+    if '"' in text or [f.strip().lower() for f in header_line.split(",")] != header:
         rows = (row for _, row in _rows(text, header))
         chunk = list(islice(rows, _CHUNK_LINES))
         while True:
             yield list(zip(*chunk)) or [[] for _ in header]
             if not (chunk := list(islice(rows, _CHUNK_LINES))):
                 return
-    for start in range(1, max(len(lines), 2), _CHUNK_LINES):
-        chunk = lines[start:start + _CHUNK_LINES]
+    chunk = list(islice(lines, _CHUNK_LINES))
+    while True:
         joined = ",\n".join(chunk)
         fields = joined.split(",")
         ids = "".join(fields[::width]).split("\n")
         if len(fields) != width * len(chunk) or len(ids) != len(chunk):
-            rows = [row for _, row in _rows("\n".join([lines[0], *chunk]), header)]
+            rows = [row for _, row in _rows("\n".join([header_line, *chunk]), header)]
             yield list(zip(*rows)) or [[] for _ in header]
-            continue
-        if not joined.isascii() or any(map(joined.__contains__, _ASCII_LINE_SPACE)):
-            fields = list(map(str.strip, fields))
-            ids = fields[::width]
-        columns = [ids, *(fields[k::width] for k in range(1, width))]
-        if "" in ids:  # only a row whose first field is empty can be blank
-            keep = [i for i, row in enumerate(zip(*columns)) if any(row)]
-            columns = [[column[i] for i in keep] for column in columns]
-        yield columns
+        else:
+            if not joined.isascii() or any(map(joined.__contains__, _ASCII_LINE_SPACE)):
+                fields = list(map(str.strip, fields))
+                ids = fields[::width]
+            columns = [ids, *(fields[k::width] for k in range(1, width))]
+            if "" in ids:  # only a row whose first field is empty can be blank
+                keep = [i for i, row in enumerate(zip(*columns)) if any(row)]
+                columns = [[column[i] for i in keep] for column in columns]
+            yield columns
+        if not (chunk := list(islice(lines, _CHUNK_LINES))):
+            return
 
 
 def _parse_float(raw: str, lineno: int, column: str) -> float:
@@ -158,14 +187,14 @@ def _parse_float(raw: str, lineno: int, column: str) -> float:
 
 def parse_paired(text: str) -> PairedSample:
     """Parse a ``subject,a,b`` CSV into a :class:`PairedSample`."""
-    header, subjects, a_parts, b_parts = ["subject", "a", "b"], [], [], []
+    header, subjects, a, b = ["subject", "a", "b"], [], [], []
     try:
         for chunk_subjects, raw_a, raw_b in _columns(text, header):
             subjects += chunk_subjects
-            a_parts.append(np.array(raw_a, dtype=float))
-            b_parts.append(np.array(raw_b, dtype=float))
-        return PairedSample(a=np.concatenate(a_parts), b=np.concatenate(b_parts),
-                            subject_ids=tuple(subjects))
+            a.append(np.array(raw_a, dtype=float))
+            b.append(np.array(raw_b, dtype=float))
+        a, b = np.concatenate(a), np.concatenate(b)  # frees the chunks before the sample
+        return PairedSample(a=a, b=b, subject_ids=tuple(subjects))
     except ValueError as exc:
         problem = exc
     seen: set[str] = set()
@@ -192,7 +221,8 @@ def parse_replicated(text: str) -> ReplicatedSample:
             methods += chunk_methods  # one-character labels: CPython shares them already
             reps.append(np.array(raw_reps, dtype=np.int64))
             values.append(np.array(raw_values, dtype=float))
-        return ReplicatedSample(subjects, methods, np.concatenate(reps), np.concatenate(values))
+        reps, values = np.concatenate(reps), np.concatenate(values)  # frees the chunks
+        return ReplicatedSample(subjects, methods, reps, values)
     except (ValueError, OverflowError) as exc:
         problem = exc
     seen: set[tuple[str, str, int]] = set()

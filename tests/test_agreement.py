@@ -142,6 +142,26 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="differ in length"):
             ReplicatedSample(["s1", "s1"], ["A", "A"], [1, 2], [1.0])
 
+    def test_replicated_peak_memory_is_the_codes_and_the_pooled_groups(self):
+        # beyond its inputs: the codes and labels it keeps and each method's columns
+        # as the variances pool (5.35 units of 8n measured); keeping the id index or
+        # the duplicate check's order alive, or np.diff copies, breaks the bound
+        per_subject = [("A", 1), ("A", 2), *(("B", r) for r in range(1, 9))]
+        subject = [f"S{s:05d}" for s in range(20_000) for _ in per_subject]
+        method = [m for _ in range(20_000) for m, _ in per_subject]
+        replicate = np.array([r for _ in range(20_000) for _, r in per_subject], dtype=np.int64)
+        value = np.random.default_rng(13).normal(100.0, 5.0, replicate.size)
+        n = replicate.size
+        ReplicatedSample(subject[:20], method[:20], replicate[:20], value[:20])
+        tracemalloc.start()
+        try:
+            reps = ReplicatedSample(subject, method, replicate, value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (n, len(reps.subjects)) == (200_000, 20_000)
+        assert peak <= 5.5 * 8 * n
+
     @pytest.mark.parametrize("field", ["s_wa2", "s_wb2"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True, np.True_, "1", None])
     def test_variances_must_be_finite(self, field, bad):

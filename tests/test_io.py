@@ -2,6 +2,8 @@ import csv
 import json
 import re
 import reprlib
+import sys
+import tracemalloc
 from dataclasses import asdict, replace
 from itertools import islice
 from pathlib import Path
@@ -22,6 +24,7 @@ from methodagree.agreement import (
     analyze,
 )
 from methodagree.io import _CHUNK_LINES as CHUNK_LINES
+from methodagree.io import _PIECE_CHARS as PIECE_CHARS
 from methodagree.io import (
     ParseError,
     emit_report,
@@ -43,6 +46,11 @@ REPLICATED_OK = (
     "s1,A,1,100\ns1,A,2,104\ns1,B,1,98\ns1,B,2,95\n"
     "s2,A,1,120\ns2,A,2,118\ns2,B,1,121\ns2,B,2,125\n"
 )
+
+
+#: Every line break ``str.splitlines`` knows; ``"\r\n"`` counts as one.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+               "\u2029"]
 
 
 def group_values(reps, subject: str, method: str) -> np.ndarray:
@@ -256,12 +264,52 @@ class TestReplicatedErrorLines:
         np.testing.assert_array_equal(reps.replicate, [1, 2, 1, 2])
 
 
+class TestLines:
+    """``_lines`` splits a piece of the text at a time, as ``str.splitlines`` splits it whole."""
+
+    # every line break after nothing, after text and after a "\r"; as the piece size
+    # runs from 1 to 64, a piece ends at each "\n" of the text in turn
+    TEXT = "".join(f"{word}{brk}" for word in ("", "a", "bc d", "\r") for brk in LINE_BREAKS)
+
+    def test_line_breaks_are_every_break_splitlines_knows(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert {line[-1] for line in every.splitlines(keepends=True)[:-1]} == set(
+            "".join(LINE_BREAKS))
+
+    @pytest.mark.parametrize("keepends", [False, True])
+    @pytest.mark.parametrize("tail", ["", "last"])  # with and without a final break
+    def test_equals_splitlines_at_every_piece_size(self, monkeypatch, keepends, tail):
+        text = self.TEXT + tail
+        for piece in range(1, 65):
+            monkeypatch.setattr(methodagree_io, "_PIECE_CHARS", piece)
+            assert list(methodagree_io._lines(text, keepends)) == text.splitlines(keepends)
+
+    @pytest.mark.parametrize("read, quote", [("_columns", ""), ("_columns", '"'),
+                                             ("_rows", '"')])
+    def test_peak_does_not_grow_with_the_lines(self, read, quote):
+        # a reader that held every line at once would grow ~2.4 MiB from 10,000 lines to
+        # 40,000; the quote sends _columns through _rows
+        def peak(lines):
+            text = f"subject,a,b\n{quote}P0{quote},1.5,2.5\n" + "".join(
+                f"P{i},{i}.5,{i}.25\n" for i in range(1, lines))
+            tracemalloc.start()
+            try:
+                for _ in getattr(methodagree_io, read)(text, ["subject", "a", "b"]):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(40_000) - peak(10_000) < 256 * 1024
+
+
 class TestChunkSplit:
-    """Quote-free chunks of three data lines, as ``_columns`` splits them."""
+    """Quote-free chunks of three data lines, as ``_columns`` splits them, from 1-char pieces."""
 
     @pytest.fixture(autouse=True)
     def three_line_chunks(self, monkeypatch):
         monkeypatch.setattr(methodagree_io, "_CHUNK_LINES", 3)
+        monkeypatch.setattr(methodagree_io, "_PIECE_CHARS", 1)
 
     ROWS = [f"{s},{m},{r},{10 * i + r}.5" for i, s in enumerate(["S1", "S2", "S3"])
             for m in "AB" for r in (1, 2)]
@@ -401,13 +449,14 @@ def _csv_texts(draw):
 
 
 class TestTokenizer:
-    @pytest.mark.parametrize("chunk_lines", [3, CHUNK_LINES])
+    @pytest.mark.parametrize("chunk_lines, piece_chars", [(3, 1), (CHUNK_LINES, PIECE_CHARS)])
     @settings(max_examples=400, deadline=None)
     @given(case=_csv_texts())
-    def test_equals_csv_only_reference(self, chunk_lines, case):
+    def test_equals_csv_only_reference(self, chunk_lines, piece_chars, case):
         header, text = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(methodagree_io, "_CHUNK_LINES", chunk_lines)
+            mp.setattr(methodagree_io, "_PIECE_CHARS", piece_chars)
             want = _tokens(_reference_chunks, text, header)
             assert _tokens(_row_chunks, text, header) == want
             got = _tokens(_column_chunks, text, header)
