@@ -175,6 +175,14 @@ def _real(name: str, value):
     return value
 
 
+def _require_finite(*steps) -> None:
+    """Raise ValueError for the first step ``(what, values, cure)`` with a value that is
+    not finite: float arithmetic overflows to inf silently, or to nan via inf - inf."""
+    for what, values, cure in steps:
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{what} overflows the largest double; {cure}") from None
+
+
 def _integer(name: str, value):
     """``value`` if it is a Python or numpy int, and not a bool, which would count as 0 or 1."""
     if type(value) is bool or not isinstance(value, (int, np.integer)):
@@ -324,12 +332,6 @@ def general_covariance_identity(
     return (alpha * var_a - beta * var_b + (beta - alpha) * cov_ab) / (alpha + beta)
 
 
-def _require_no_overflow(*values: float) -> None:
-    # float arithmetic overflows to inf silently, where math.ldexp raises
-    if not all(map(math.isfinite, values)):
-        raise OverflowError
-
-
 def analyze(
     sample: PairedSample,
     *,
@@ -384,34 +386,26 @@ def analyze(
     def difference_column():
         return a - b if direction is Direction.A_MINUS_B else b - a
 
-    try:  # ``what`` names the step that overflows
+    cure = "rescale the measurements"
+    try:
         with np.errstate(over="raise"):
-            what = "the sum a + b of the mean axis" if weights is None else "the weighted average"
-            try:
-                axis_values = axis_column()
-            except FloatingPointError:
-                with np.errstate(over="ignore"):  # where both overflow, name the difference
-                    if not np.isfinite(difference_column()).all():
-                        what = f"the difference {direction.value}"
-                raise
-            what = f"the difference {direction.value}"
-            diffs = difference_column()
-        what = "the trend slope"
+            axis_values, diffs = axis_column(), difference_column()
+    except FloatingPointError:  # an overflow leaves an inf in its column
+        with np.errstate(over="ignore"):  # where both overflow, the difference is named
+            _require_finite((f"the difference {direction.value}", difference_column(), cure),
+                            ("the sum a + b of the mean axis" if weights is None
+                             else "the weighted average", axis_column(), cure))
+    try:
         fit, bias, sd = linear_fit(axis_values, diffs, confidence=confidence)
-        del axis_values, diffs  # consumed: the fit scaled and centred them in place
-        _require_no_overflow(fit.slope, fit.slope_se, fit.ci_low, fit.ci_high)
-        what = "the trend intercept"
-        _require_no_overflow(fit.intercept)
-        what = "the limits of agreement"
-        loa_low, loa_high = bias - LOA_MULTIPLIER * sd, bias + LOA_MULTIPLIER * sd
-        _require_no_overflow(loa_low, loa_high)
     except DegenerateDataError:
         raise DegenerateDataError("axis values are constant; nothing to plot against") from None
-    except (FloatingPointError, OverflowError):
-        # the slope, its SE and CI are ratios of differences to axis values: scale-free
-        cure = ("the axis values barely vary next to the differences, at any scale"
-                if what == "the trend slope" else "rescale the measurements")
-        raise ValueError(f"{what} overflows the largest double; {cure}") from None
+    del axis_values, diffs  # consumed: the fit scaled and centred them in place
+    loa_low, loa_high = bias - LOA_MULTIPLIER * sd, bias + LOA_MULTIPLIER * sd
+    # the slope, its SE and CI are ratios of differences to axis values: scale-free
+    _require_finite(("the trend slope", (fit.slope, fit.slope_se, fit.ci_low, fit.ci_high),
+                     "the axis values barely vary next to the differences, at any scale"),
+                    ("the trend intercept", (fit.intercept,), cure),
+                    ("the limits of agreement", (loa_low, loa_high), cure))
 
     return AgreementResult(
         direction=direction,

@@ -1,6 +1,7 @@
 """Internal statistics kernel: correlation inference, least squares with slope
 confidence intervals, Student-t functions (``scipy.special.stdtr``/``stdtrit``)
-and exact whitening. No module state, no randomness.
+and exact whitening. No module state, no randomness. The closed form in ``synthesis``
+shares the fit's ``_ldexp`` (+-inf past the largest double) and ``_slope_and_r``.
 
 Only :class:`DegenerateDataError` and :class:`RegressionFit` are package API.
 The public entry points validate arguments; the kernel assumes valid ones and
@@ -41,6 +42,14 @@ def covariance(x, y) -> float:
     """Sample covariance with divisor n-1 of two vectors of equal length."""
     xv, yv = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     return float(np.dot(xv - xv.mean(), yv - yv.mean()) / (xv.size - 1))
+
+
+def _ldexp(x: float, shift: int) -> float:
+    """``math.ldexp``, but +-inf where that raises OverflowError."""
+    try:
+        return math.ldexp(x, shift)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def _pow2_shift(v: np.ndarray) -> int:
@@ -119,8 +128,8 @@ def linear_fit(x, y, confidence: float = 0.95) -> tuple[RegressionFit, float, fl
     equal length n >= 3; a constant ``x`` raises :class:`DegenerateDataError`.
     Each vector is centred once and scaled by an exact power of two, so data
     near 1e300 or 1e-300 fit as well as data near 1. ``y_mean`` and
-    ``y_sd`` (divisor n - 1) come from that one pass over y; ``y_sd`` is
-    ``inf`` when it exceeds the largest double. x and y are consumed: a
+    ``y_sd`` (divisor n - 1) come from that one pass over y. A slope, SE
+    or ``y_sd`` past the largest double is +-inf. x and y are consumed: a
     C-contiguous, writeable float64 array is scaled and centred in place,
     and holds those values afterwards. A strided or read-only array, or any
     other input, is copied first; the fit is the same, bit for bit.
@@ -139,17 +148,11 @@ def linear_fit(x, y, confidence: float = 0.95) -> tuple[RegressionFit, float, fl
     vx, vy, cxy = float(np.dot(xc, xc)) / m, float(np.dot(yc, yc)) / m, float(np.dot(xc, yc)) / m
     if vx <= 0.0:
         raise DegenerateDataError("cannot fit a line on a constant x")
-    slope = math.ldexp(cxy / vx, p - q)
+    slope, r = _slope_and_r(vx, cxy, vy, p - q)
     intercept = y_mean - slope * x_mean
-    # a constant y has slope 0 and no association to test
-    r = min(1.0, max(-1.0, cxy / math.sqrt(vx * vy))) if vy > 0.0 else 0.0
     df = xv.size - 2
-    se = math.ldexp(math.sqrt((vy / vx) * max(0.0, 1.0 - r * r) / df), p - q)
+    se = _ldexp(math.sqrt((vy / vx) * max(0.0, 1.0 - r * r) / df), p - q)
     tq = student_t_quantile(level, df)
-    try:
-        y_sd = math.ldexp(math.sqrt(vy), -q)
-    except OverflowError:  # the spread of y exceeds the largest double
-        y_sd = math.inf
     return RegressionFit(
         slope=slope,
         intercept=intercept,
@@ -159,7 +162,15 @@ def linear_fit(x, y, confidence: float = 0.95) -> tuple[RegressionFit, float, fl
         r=r,
         p_value=correlation_p_value(r, xv.size),
         df=df,
-    ), y_mean, y_sd
+    ), y_mean, _ldexp(math.sqrt(vy), -q)
+
+
+def _slope_and_r(sxx: float, sxy: float, syy: float, shift: int) -> tuple[float, float]:
+    """Slope of y on x, times ``2**shift`` (+-inf past the largest double), and r,
+    from second moments (sums or means) of power-of-two-scaled x and y. r is 0 for
+    a constant y, and clamped to [-1, 1], which parallel x and y can round an ulp past."""
+    r = min(1.0, max(-1.0, sxy / math.sqrt(sxx * syy))) if syy > 0.0 else 0.0
+    return _ldexp(sxy / sxx, shift), r
 
 
 # --- Whitening --------------------------------------------------------------

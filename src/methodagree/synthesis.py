@@ -18,7 +18,6 @@ mapped through inverse CDFs (normal; chi-square for the Monte Carlo draw).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +32,11 @@ from .agreement import (
     WithinSubjectVariance,
     _integer,
     _real,
+    _require_finite,
     _unit_scaled,
     analyze,
 )
-from .numerics import _pow2_shift, orthonormalize
+from .numerics import _ldexp, _pow2_shift, _slope_and_r, orthonormalize
 
 __all__ = [
     "SyntheticConfig",
@@ -111,6 +111,7 @@ def preset_config(label: str, **fields) -> SyntheticConfig:
     return SyntheticConfig(**params, **fields)
 
 
+_RESCALE = "rescale sigma_c, s_a and s_b"  # the cure where a synthetic moment overflows
 _DRAW_BLOCK = 8192  # rows of uniforms per ``random`` call in generate
 
 
@@ -177,28 +178,14 @@ def closed_form_moments(
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
         u, v = np.ldexp(u, p), np.ldexp(v, q)
         uv, uu, vv = float(u @ v), float(u @ u), float(v @ v)
-    cov = _ldexp_or_raise("cov", uv, -p - q)
-    var_diff = _ldexp_or_raise("var_diff", uu, -2 * p)
-    var_axis = _ldexp_or_raise("var_axis", vv, -2 * q)
-    # a product of two roots: in the normal range it rounds as the unscaled moments' would
-    r = uv / (math.sqrt(uu) * math.sqrt(vv)) if uu > 0.0 and vv > 0.0 else 0.0
-    r = min(1.0, max(-1.0, r))  # as in linear_fit: parallel u and v can round an ulp past 1
-    # the slope is scale-free: sigma_c, s_a and s_b scale u and v alike
-    slope = (_ldexp_or_raise("slope", uv / vv, q - p, "the axis barely varies next to the "
-                             "difference, at any scale") if vv > 0.0 else 0.0)
+    cov, var_diff, var_axis = _ldexp(uv, -p - q), _ldexp(uu, -2 * p), _ldexp(vv, -2 * q)
+    # the fit's own slope and r; the slope is scale-free: sigma_c, s_a and s_b scale u and v alike
+    slope, r = _slope_and_r(vv, uv, uu, q - p) if vv > 0.0 else (0.0, 0.0)
+    _require_finite(("cov", (cov,), _RESCALE), ("var_diff", (var_diff,), _RESCALE),
+                    ("var_axis", (var_axis,), _RESCALE),
+                    ("slope", (slope,),
+                     "the axis barely varies next to the difference, at any scale"))
     return ClosedFormMoments(cov=cov, var_diff=var_diff, var_axis=var_axis, r=r, slope=slope)
-
-
-def _ldexp_or_raise(what: str, value: float, shift: int,
-                    cure: str = "rescale sigma_c, s_a and s_b") -> float:
-    """``value * 2**shift``; a result beyond the largest double raises ValueError naming ``what``."""
-    try:
-        value = math.ldexp(value, shift)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"{what} overflows the largest double; {cure}")
-    return value
 
 
 def _loadings(config: SyntheticConfig, w: WeightPair, direction: Direction
@@ -248,10 +235,8 @@ def monte_carlo_covariance(
         dot, cross = u @ v, np.linalg.norm(np.cross(u, v))
         covs = (dot * chi2 + cross * np.sqrt(chi2) * _to_normals(uniforms[:, 1])) / m
         mean, se = float(covs.mean()), float(covs.std(ddof=1) / np.sqrt(trials))
-    for what, values in (("u.v", dot), ("|u x v|", cross),
-                         ("the sampled covariances", (mean, se))):
-        if not np.isfinite(values).all():
-            raise ValueError(f"{what} overflows the largest double; rescale sigma_c, s_a and s_b")
+    _require_finite(("u.v", (dot,), _RESCALE), ("|u x v|", (cross,), _RESCALE),
+                    ("the sampled covariances", (mean, se), _RESCALE))
     return mean, se
 
 

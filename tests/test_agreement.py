@@ -724,6 +724,15 @@ class TestAnalyze:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             analyze(PairedSample(a, b), axis=axis, variances=WithinSubjectVariance(1.0, 1.0))
 
+    def test_first_of_several_overflowing_steps_is_named(self):
+        # the axis is a, near 1e-300, and the difference near 1.7e308: the slope, the
+        # intercept and the limits of agreement all overflow, and the slope comes first
+        a, b = [1e-300, 2e-300, 3e-300, 4e-300], [1.7e308, -1.7e308, 1.6e308, -1.6e308]
+        message = ("the trend slope overflows the largest double; the axis values barely "
+                   "vary next to the differences, at any scale")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            analyze(PairedSample(a, b), axis="weighted", variances=WithinSubjectVariance(0.0, 1.0))
+
     @pytest.mark.parametrize("scale", [1e160, 1e-170])
     @pytest.mark.parametrize("axis", ["mean", "weighted"])
     def test_far_from_unit_scale(self, scale, axis):

@@ -17,6 +17,8 @@ from scipy import integrate, stats
 
 from methodagree.numerics import (
     DegenerateDataError,
+    _ldexp,
+    _slope_and_r,
     correlation_p_value,
     covariance,
     linear_fit,
@@ -289,6 +291,71 @@ class TestLinearFit:
         ref = linear_fit(x.copy(), y.copy())
         assert linear_fit(x, y) == ref
         assert np.array_equal(x, np.random.default_rng(2).normal(size=(100, 3))[:, 0])
+
+
+def _inline_slope_and_r(vx: float, cxy: float, vy: float, shift: int) -> tuple[float, float]:
+    # the reference: linear_fit's slope and r expressions, written out inline
+    slope = math.ldexp(cxy / vx, shift)
+    r = min(1.0, max(-1.0, cxy / math.sqrt(vx * vy))) if vy > 0.0 else 0.0
+    return slope, r
+
+
+class TestFitKernel:
+    """``_ldexp`` and ``_slope_and_r``, which the fit shares with the closed form."""
+
+    @given(st.floats(allow_nan=False), st.integers(-1200, 1200))
+    @settings(max_examples=300, deadline=None)
+    def test_ldexp_is_math_ldexp_in_range(self, x, shift):
+        try:
+            want = math.ldexp(x, shift)
+        except OverflowError:
+            want = math.copysign(math.inf, x)
+        got = _ldexp(x, shift)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    def test_ldexp_rounds_into_the_subnormal_range(self):
+        assert _ldexp(1.0, -1074) == 5e-324
+        assert _ldexp(1.0, -1080) == 0.0
+        assert _ldexp(3.0, -1075) == math.ldexp(3.0, -1075) == 1e-323
+
+    @pytest.mark.parametrize("x, shift", [(1.0, 1024), (-1.0, 1024), (0.75, 1100),
+                                          (-1e-300, 2100), (math.inf, 5), (-math.inf, -5)])
+    def test_ldexp_is_signed_inf_past_the_largest_double(self, x, shift):
+        if math.isfinite(x):
+            with pytest.raises(OverflowError):
+                math.ldexp(x, shift)
+        assert _ldexp(x, shift) == math.copysign(math.inf, x)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_r_of_parallel_moments_is_one(self, sign):
+        x = np.random.default_rng(3).normal(size=50)
+        y = np.ldexp(sign * x, 7)  # exactly parallel
+        assert _slope_and_r(float(x @ x), float(x @ y), float(y @ y), 0) == (sign * 128.0, sign)
+        # these moments of nearly parallel vectors put the unclamped ratio an ulp past -1
+        sxx, sxy, syy = map(float.fromhex, ("0x1.249b983e91fcap+3", "-0x1.7c8eb843de2eep+2",
+                                            "0x1.eef142ca4f84fp+1"))
+        assert sxy / math.sqrt(sxx * syy) < -1.0
+        assert _slope_and_r(sxx, sxy, syy, 0)[1] == -1.0
+
+    def test_constant_y_has_r_zero(self):
+        assert _slope_and_r(2.0, 0.0, 0.0, 0) == (0.0, 0.0)
+        assert _slope_and_r(2.0, 0.0, 0.0, -3) == (0.0, 0.0)
+
+    def test_slope_past_the_largest_double_is_inf(self):
+        assert _slope_and_r(1.0, 1.0, 1.0, 1100) == (math.inf, 1.0)
+        assert _slope_and_r(1.0, -1.0, 1.0, 1100) == (-math.inf, -1.0)
+
+    @given(st.integers(3, 8), st.integers(0, 2**32 - 1), st.integers(-60, 60))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_inline_fit_expressions(self, n, seed, shift):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=n)
+        y = rng.normal(size=n) if seed % 3 else rng.uniform(-3, 3) * x
+        if seed % 5 == 0:
+            y[:] = 0.0
+        m = n - 1
+        vx, vy, cxy = float(x @ x) / m, float(y @ y) / m, float(x @ y) / m
+        assert _slope_and_r(vx, cxy, vy, shift) == _inline_slope_and_r(vx, cxy, vy, shift)
 
 
 def _assert_whitened(out: np.ndarray):

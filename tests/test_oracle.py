@@ -136,9 +136,13 @@ def test_slope_intercept_and_se_match_exact_rationals(case):
 # sqrt(var_diff * var_axis) for cov, 1 for r, sqrt(var_diff / var_axis) for
 # the slope, and the variance itself for var_diff and var_axis. Measured worst
 # cases over 80,000 numpy draws like the strategy below and 20,000 examples of
-# it: cov 2.58, var_diff 2.21, var_axis 3.88, r 2.15, slope 2.96. The same
-# moments expanded into polynomials of the config came out up to 30,000 units
-# off for cov, r and the slope over those examples; see the explicit ones below.
+# it: cov 2.58, var_diff 2.21, var_axis 3.88, r 2.15, slope 2.96. r now uses
+# the trend fit's sxy / sqrt(sxx * syy), not sxy / (sqrt(sxx) * sqrt(syy));
+# re-measured over another 80,000 draws and 20,000 examples: r 2.20, where the
+# former formula read 2.15 on the same draws (cov 2.46, var_diff 2.37,
+# var_axis 3.92 and slope 2.77, which kept their bits). The same moments
+# expanded into polynomials of the config came out up to 30,000 units off for
+# cov, r and the slope over those examples; see the explicit ones below.
 CLOSED_FORM_UNITS = dict(cov=4, var_diff=4, var_axis=6, r=4, slope=5)
 
 

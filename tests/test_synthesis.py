@@ -329,6 +329,13 @@ class TestClosedFormMoments:
                   for k in range(160)]
             assert all(abs(r) <= 1.0 for r in rs), direction
 
+    def test_first_of_several_overflowing_moments_is_named(self):
+        # u.u and u.v / v.v both overflow; var_diff is computed, and named, before the slope
+        config = SyntheticConfig(k_a=1e200, k_b=1e-200, s_a=0.0, s_b=1e-201, sigma_c=1.0)
+        message = "var_diff overflows the largest double; rescale sigma_c, s_a and s_b"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            closed_form_moments(config, WeightPair(0.0, 1.0))
+
     @pytest.mark.parametrize("scale", [1e-170, 1e160, 2.0**-1000, 2.0**1000])
     def test_extreme_weights_keep_their_ratio(self, scale):
         config = preset_config("c")
