@@ -105,8 +105,8 @@ class ReplicatedSample:
     and values. Holds ``subjects`` (ids in order of first appearance) and, per
     row, ``subject_code`` (index into ``subjects``), ``is_b``, ``replicate`` and
     ``value``. No (subject, method, replicate) may repeat, each (subject,
-    method) group needs two or more replicates, and both methods must cover
-    the same subjects. Each method's counts, means and variance pool once.
+    method) cell needs two or more replicates, and both methods must cover the
+    same subjects. One code per cell pools every count, mean and variance.
     """
 
     def __init__(self, subject, method, replicate, value):
@@ -130,11 +130,10 @@ class ReplicatedSample:
         del index
         # every label is "A" or "B" now: one byte each in the joined labels
         is_b = np.frombuffer("".join(method).encode("ascii"), dtype=np.uint8) == ord("B")
-        group = 2 * code + is_b
-        order = np.lexsort((replicate, group))
-        # one sorted copy at a time, each compared with itself shifted by one row
-        ordered = group[order]
-        del group
+        cell = code + len(subjects) * is_b  # each row's (subject, method) cell: A's, then B's
+        order = np.lexsort((replicate, cell))
+        ordered = cell[order]  # one sorted copy at a time, each compared with itself shifted
+        del cell
         repeated = ordered[1:] == ordered[:-1]
         ordered = replicate[order]
         repeated &= ordered[1:] == ordered[:-1]
@@ -144,22 +143,22 @@ class ReplicatedSample:
             raise ValueError(f"duplicate replicate {replicate[row]} for subject "
                              f"{subject[row]!r}, method {method[row]}")
         del order, repeated  # n-length; the pooling below needs neither
-        groups = {m: (code[r], value[r]) for m, r in (("A", ~is_b), ("B", is_b))}
-        counts = {m: np.bincount(c, minlength=len(subjects)) for m, (c, _) in groups.items()}
-        odd = sorted(subjects[i] for i in np.flatnonzero((counts["A"] == 0) | (counts["B"] == 0)))
+        cell = code + len(subjects) * is_b  # again: the check above needed the room
+        counts = np.bincount(cell, minlength=2 * len(subjects)).reshape(2, -1)  # rows: A, B
+        odd = sorted(subjects[i] for i in np.flatnonzero((counts == 0).any(axis=0)))
         if odd:
             raise ValueError(f"subjects not covered by both methods: {odd}")
-        means, s_w2 = {}, {}
-        for m, (c, v) in groups.items():
-            few = np.flatnonzero(counts[m] < 2)
-            if few.size:
-                raise ValueError(f"subject {subjects[few[0]]!r} has {counts[m][few[0]]} "
-                                 f"replicate(s) for method {m}; need at least 2")
-            means[m] = np.bincount(c, weights=v, minlength=len(subjects)) / counts[m]
-            s_w2[m] = float(np.sum((v - means[m][c]) ** 2)) / (c.size - len(subjects))
+        if (counts < 2).any():
+            j, i = np.argwhere(counts < 2)[0]  # the first such cell: A's first, in subject order
+            raise ValueError(f"subject {subjects[i]!r} has {counts[j, i]} replicate(s) "
+                             f"for method {METHOD_LABELS[j]}; need at least 2")
+        means = np.bincount(cell, weights=value, minlength=counts.size).reshape(2, -1) / counts
+        squares = (means.ravel()[cell] - value) ** 2  # from each row's own cell mean
+        del cell
+        self._means, self._s_w2 = means, [float(np.sum(squares[rows]) / (count.sum() - count.size))
+                                          for rows, count in zip((~is_b, is_b), counts)]
         self.subjects, self.subject_code, self.is_b = subjects, code, is_b
         self.replicate, self.value = replicate, value
-        self._counts, self._means, self._s_w2 = counts, means, s_w2
 
 
 def _real(name: str, value):
@@ -260,12 +259,12 @@ def estimate_variances(reps: ReplicatedSample) -> WithinSubjectVariance:
 
     Per method, the summed squared deviations from each subject's replicate mean over sum(m_i - 1).
     """
-    return WithinSubjectVariance(s_wa2=reps._s_w2["A"], s_wb2=reps._s_w2["B"])
+    return WithinSubjectVariance(*reps._s_w2)
 
 
 def paired_from_replicates(reps: ReplicatedSample) -> PairedSample:
     """Collapse replicates to one pair per subject using replicate means."""
-    return PairedSample(a=reps._means["A"], b=reps._means["B"], subject_ids=reps.subjects)
+    return PairedSample(*reps._means, subject_ids=reps.subjects)
 
 
 def weighted_average(a, b, v: WithinSubjectVariance):

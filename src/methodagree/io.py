@@ -27,6 +27,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .agreement import (
+    METHOD_LABELS,
     AgreementResult,
     AxisKind,
     PairedSample,
@@ -227,7 +228,7 @@ def parse_replicated(text: str) -> ReplicatedSample:
         problem = exc
     seen: set[tuple[str, str, int]] = set()
     for lineno, (subject, method, rep, raw) in _rows(text, header):
-        if method not in ("A", "B"):
+        if method not in METHOD_LABELS:
             raise ParseError(f"line {lineno}: method must be 'A' or 'B', got {method!r}")
         try:
             index = np.int64(rep)

@@ -70,8 +70,8 @@ class SyntheticConfig:
     exact_moments: bool = True
 
     def __post_init__(self):
-        for name in ("k_a", "k_b", "s_a", "s_b", "sigma_c"):
-            _real(name, getattr(self, name))
+        for name in ("k_a", "k_b", "s_a", "s_b", "sigma_c"):  # Python floats: they overflow to inf
+            object.__setattr__(self, name, float(_real(name, getattr(self, name))))
         if _integer("seed", self.seed) < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if _integer("n", self.n) < 3:

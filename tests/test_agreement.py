@@ -143,9 +143,10 @@ class TestDomainTypes:
             ReplicatedSample(["s1", "s1"], ["A", "A"], [1, 2], [1.0])
 
     def test_replicated_peak_memory_is_the_codes_and_the_pooled_groups(self):
-        # beyond its inputs: the codes and labels it keeps and each method's columns
-        # as the variances pool (5.35 units of 8n measured); keeping the id index or
-        # the duplicate check's order alive, or np.diff copies, breaks the bound
+        # beyond its inputs: the duplicate check sets the peak (4.48 units of 8n
+        # measured), with the codes and labels it keeps, the sort order and one sorted
+        # copy; keeping the id index, the order or the cell code alive, np.diff copies,
+        # or a copy of each method's rows (5.35 units) breaks the bound
         per_subject = [("A", 1), ("A", 2), *(("B", r) for r in range(1, 9))]
         subject = [f"S{s:05d}" for s in range(20_000) for _ in per_subject]
         method = [m for _ in range(20_000) for m, _ in per_subject]
@@ -160,7 +161,27 @@ class TestDomainTypes:
         finally:
             tracemalloc.stop()
         assert (n, len(reps.subjects)) == (200_000, 20_000)
-        assert peak <= 5.5 * 8 * n
+        assert peak <= 4.6 * 8 * n
+
+    @pytest.mark.parametrize("groups, message", [
+        ({("s1", "A"): [1.0, 2.0], ("s1", "B"): [1.0, 2.0], ("s2", "A"): [1.0]},
+         "subjects not covered by both methods: ['s2']"),  # before s2's count of 1
+        ({("s9", "A"): [1.0, 2.0], ("s1", "A"): [1.0, 2.0], ("s5", "A"): [1.0, 2.0],
+          ("s5", "B"): [1.0, 2.0]}, "subjects not covered by both methods: ['s1', 's9']"),
+        ({("s1", "A"): [1.0, 2.0], ("s1", "B"): [1.0], ("s2", "A"): [1.0],
+          ("s2", "B"): [1.0, 2.0]},
+         "subject 's2' has 1 replicate(s) for method A; need at least 2"),  # A before B
+        ({("s9", "A"): [1.0], ("s1", "A"): [1.0], ("s9", "B"): [1.0, 2.0],
+          ("s1", "B"): [1.0, 2.0]},
+         "subject 's9' has 1 replicate(s) for method A; need at least 2"),  # first seen
+        ({("s1", "A"): [1.0, 2.0], ("s1", "B"): [1.0, 2.0], ("s3", "B"): [1.0],
+          ("s2", "B"): [1.0], ("s3", "A"): [4.0, 5.0], ("s2", "A"): [4.0, 5.0]},
+         "subject 's3' has 1 replicate(s) for method B; need at least 2"),
+    ], ids=["coverage-before-count", "coverage-sorted", "method-a-first",
+            "first-seen-subject", "method-b"])
+    def test_replicated_names_the_first_failing_rule_and_cell(self, groups, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_replicates(groups)
 
     @pytest.mark.parametrize("field", ["s_wa2", "s_wb2"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True, np.True_, "1", None])
@@ -346,6 +367,32 @@ class TestWithinSubjectVariance:
         else:
             np.testing.assert_allclose([v.s_wa2, v.s_wb2], pooled,
                                        rtol=1e-12, atol=1e-12 * scale**2)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pooling_equals_a_per_method_reference_bit_for_bit(self, seed):
+        # shuffled rows; counts differ between the methods and from subject to subject;
+        # the reference pools each method's own rows, in row order
+        rng = np.random.default_rng(4200 + seed)
+        counts = rng.integers(2, 12, size=(int(rng.integers(3, 40)), 2))
+        rows = [(f"s{i}", m, r, float(rng.normal(100.0, 15.0) * 10.0 ** rng.integers(-3, 4)))
+                for i, (m_a, m_b) in enumerate(counts)
+                for m, m_count in (("A", m_a), ("B", m_b)) for r in range(1, m_count + 1)]
+        rows = [rows[j] for j in rng.permutation(len(rows))]
+        reps = ReplicatedSample(*zip(*rows))
+        code = np.array([reps.subjects.index(row[0]) for row in rows])
+        value = np.array([row[3] for row in rows])
+        means, pooled = [], []
+        for method in "AB":
+            mine = np.array([row[1] == method for row in rows])
+            c, v = code[mine], value[mine]
+            m = np.bincount(c, weights=v) / np.bincount(c)
+            means.append(m)
+            pooled.append(float(np.sum((v - m[c]) ** 2)) / (c.size - len(reps.subjects)))
+        pairs, v = paired_from_replicates(reps), estimate_variances(reps)
+        assert pairs.subject_ids == reps.subjects
+        assert (pairs.a.tobytes(), pairs.b.tobytes()) == (means[0].tobytes(), means[1].tobytes())
+        assert [v.s_wa2, v.s_wb2] == pooled
+        assert type(v.s_wa2) is type(v.s_wb2) is float
 
     def test_paired_from_replicates_uses_means(self):
         reps = make_replicates(

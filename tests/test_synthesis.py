@@ -115,6 +115,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             SyntheticConfig(sigma_c=0.0)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda big: closed_form_moments(SyntheticConfig(k_a=big, k_b=-big, sigma_c=1e200),
+                                         mean_weights()), "cov overflows"),
+        (lambda big: monte_carlo_covariance(
+            SyntheticConfig(k_a=big, k_b=-big, sigma_c=1e200, exact_moments=False),
+            mean_weights(), 10), "u.v overflows"),
+        (lambda big: SyntheticConfig(s_a=big).error_variances(), "s_wa2 must be finite, got inf"),
+    ], ids=["closed-form", "monte-carlo", "error-variances"])
+    def test_numpy_float_fields_overflow_as_python_floats(self, call, message):
+        # numpy scalars warn as they overflow, which pytest makes an error, before
+        # the named ValueError; the config stores every float field as a Python float
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            call(np.float64(1e200))
+        assert {type(getattr(SyntheticConfig(k_a=np.float32(2.0), k_b=2, s_a=np.longdouble(1)),
+                             name)) for name in ("k_a", "k_b", "s_a", "s_b", "sigma_c")} == {float}
+
     @pytest.mark.parametrize("name", ["k_a", "k_b", "s_a", "s_b", "sigma_c"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), True, "1.0"])
     def test_non_finite_parameter_rejected(self, name, value):
