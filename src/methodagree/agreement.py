@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import DegenerateDataError, RegressionFit, linear_fit
+from .numerics import RegressionFit, linear_fit
 
 __all__ = [
     "Direction",
@@ -153,11 +153,12 @@ class ReplicatedSample:
             raise ValueError(f"subject {subjects[i]!r} has {counts[j, i]} replicate(s) "
                              f"for method {METHOD_LABELS[j]}; need at least 2")
         means = np.bincount(cell, weights=value, minlength=counts.size).reshape(2, -1) / counts
-        squares = (means.ravel()[cell] - value) ** 2  # from each row's own cell mean
-        del cell
-        self._means, self._s_w2 = means, [float(np.sum(squares[rows]) / (count.sum() - count.size))
-                                          for rows, count in zip((~is_b, is_b), counts)]
-        self.subjects, self.subject_code, self.is_b = subjects, code, is_b
+        with np.errstate(over="ignore"):  # an inf square or sum: WithinSubjectVariance names it
+            squares = (means.ravel()[cell] - value) ** 2  # from each row's own cell mean
+            del cell
+            self._s_w2 = [float(np.sum(squares[rows]) / (count.sum() - count.size))
+                          for rows, count in zip((~is_b, is_b), counts)]
+        self._means, self.subjects, self.subject_code, self.is_b = means, subjects, code, is_b
         self.replicate, self.value = replicate, value
 
 
@@ -367,7 +368,11 @@ def analyze(
         are built again after it, by the same operations: the peak memory is
         two n-vectors besides the sample, and ``sample`` is left unchanged.
     """
-    _real("confidence", confidence)
+    if not 0.0 < _real("confidence", confidence) < 1.0:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    if 1.0 - (1.0 - confidence) / 2.0 == 1.0:  # the fit's upper quantile level
+        raise ValueError(f"confidence {confidence} is too close to 1: the quantile level "
+                         "of its two-sided interval rounds to 1")
     axis = AxisKind(axis)
     direction = Direction(direction)
     a, b = sample.a, sample.b
@@ -394,10 +399,7 @@ def analyze(
             _require_finite((f"the difference {direction.value}", difference_column(), cure),
                             ("the sum a + b of the mean axis" if weights is None
                              else "the weighted average", axis_column(), cure))
-    try:
-        fit, bias, sd = linear_fit(axis_values, diffs, confidence=confidence)
-    except DegenerateDataError:
-        raise DegenerateDataError("axis values are constant; nothing to plot against") from None
+    fit, bias, sd = linear_fit(axis_values, diffs, confidence=confidence)
     del axis_values, diffs  # consumed: the fit scaled and centred them in place
     loa_low, loa_high = bias - LOA_MULTIPLIER * sd, bias + LOA_MULTIPLIER * sd
     # the slope, its SE and CI are ratios of differences to axis values: scale-free

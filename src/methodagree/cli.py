@@ -27,7 +27,6 @@ from .agreement import (
     predicted_covariance,
 )
 from .io import (
-    ParseError,
     emit_report,
     format_table,
     parse_paired,
@@ -209,7 +208,7 @@ def main(argv=None) -> int:
     except DegenerateDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,9 +5,8 @@ shares the fit's ``_ldexp`` (+-inf past the largest double) and ``_slope_and_r``
 
 Only :class:`DegenerateDataError` and :class:`RegressionFit` are package API.
 The public entry points validate arguments; the kernel assumes valid ones and
-checks only what valid input can still hit: a confidence outside (0, 1) or
-without a quantile level, a constant axis, rank-deficient rows. The
-reference moments ``mean``, ``variance`` and ``covariance`` check nothing.
+checks only what valid input can still hit: a constant axis and rank-deficient
+rows. The reference moments ``mean``, ``variance``, ``covariance`` check nothing.
 """
 
 from __future__ import annotations
@@ -125,7 +124,8 @@ def linear_fit(x, y, confidence: float = 0.95) -> tuple[RegressionFit, float, fl
     The slope confidence interval uses the Student-t quantile at ``df = n - 2``
     with SE^2 = (var(y)/var(x)) * (1 - r^2) / (n - 2); the variance-divisor
     choice cancels in that ratio. The caller passes finite 1-D vectors of
-    equal length n >= 3; a constant ``x`` raises :class:`DegenerateDataError`.
+    equal length n >= 3 and a confidence that ``analyze`` has checked; only
+    a constant ``x`` is checked here (:class:`DegenerateDataError`).
     Each vector is centred once and scaled by an exact power of two, so data
     near 1e300 or 1e-300 fit as well as data near 1. ``y_mean`` and
     ``y_sd`` (divisor n - 1) come from that one pass over y. A slope, SE
@@ -134,12 +134,6 @@ def linear_fit(x, y, confidence: float = 0.95) -> tuple[RegressionFit, float, fl
     and holds those values afterwards. A strided or read-only array, or any
     other input, is copied first; the fit is the same, bit for bit.
     """
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    level = 1.0 - (1.0 - confidence) / 2.0  # upper quantile level of the two-sided interval
-    if level == 1.0:
-        raise ValueError(f"confidence {confidence} is too close to 1: the quantile level "
-                         "of its two-sided interval rounds to 1")
     xv, yv = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     x_mean, xc, p = _centred(xv)
     y_mean, yc, q = _centred(yv)
@@ -147,12 +141,12 @@ def linear_fit(x, y, confidence: float = 0.95) -> tuple[RegressionFit, float, fl
     m = xv.size - 1
     vx, vy, cxy = float(np.dot(xc, xc)) / m, float(np.dot(yc, yc)) / m, float(np.dot(xc, yc)) / m
     if vx <= 0.0:
-        raise DegenerateDataError("cannot fit a line on a constant x")
+        raise DegenerateDataError("axis values are constant; nothing to plot against")
     slope, r = _slope_and_r(vx, cxy, vy, p - q)
     intercept = y_mean - slope * x_mean
     df = xv.size - 2
     se = _ldexp(math.sqrt((vy / vx) * max(0.0, 1.0 - r * r) / df), p - q)
-    tq = student_t_quantile(level, df)
+    tq = student_t_quantile(1.0 - (1.0 - confidence) / 2.0, df)  # upper two-sided level
     return RegressionFit(
         slope=slope,
         intercept=intercept,

@@ -76,6 +76,8 @@ class SyntheticConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if _integer("n", self.n) < 3:
             raise ValueError(f"need n >= 3, got {self.n}")
+        if not isinstance(self.exact_moments, (bool, np.bool_)):
+            raise ValueError(f"exact_moments must be a bool, got {self.exact_moments!r}")
         if self.exact_moments and self.n < 4:
             raise ValueError("exact-moment whitening needs n >= 4")
         if self.s_a < 0.0 or self.s_b < 0.0:
@@ -133,15 +135,20 @@ def generate(config: SyntheticConfig) -> PairedSample:
         _to_normals(u.T, out=rows[:, lo:lo + len(u)])
     if config.exact_moments:
         rows = orthonormalize(rows)
-    c = np.multiply(rows[0], config.sigma_c, out=rows[0])
     # k * c + s * e with the error rows scaled in place: the same roundings, no
     # temporary; fresh arrays, as views would keep all of ``rows`` alive in the sample
-    rows[1] *= config.s_a
-    rows[2] *= config.s_b
-    a = config.k_a * c
-    a += rows[1]
-    b = config.k_b * c
-    b += rows[2]
+    try:
+        with np.errstate(over="raise"):
+            c = np.multiply(rows[0], config.sigma_c, out=rows[0])
+            rows[1] *= config.s_a
+            rows[2] *= config.s_b
+            a = config.k_a * c
+            a += rows[1]
+            b = config.k_b * c
+            b += rows[2]
+    except FloatingPointError:
+        raise ValueError("a synthetic measurement overflows the largest double; "
+                         f"{_RESCALE}") from None
     return PairedSample(a=a, b=b)
 
 

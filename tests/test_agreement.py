@@ -2,6 +2,7 @@ import math
 import re
 import reprlib
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -306,6 +307,18 @@ class TestWithinSubjectVariance:
         v = estimate_variances(reps)
         assert v.s_wa2 == pytest.approx(2.0)
         assert v.s_wb2 == pytest.approx(18.0)
+
+    @pytest.mark.parametrize("a_values", [[1e308, -1e308], [1.3e154, -1.3e154]],
+                             ids=["square-overflows", "sum-overflows"])
+    def test_overflowing_pool_is_named_without_a_warning(self, a_values):
+        # a squared deviation or their sum past the largest double is inf, and the
+        # variance check names it, as for SyntheticConfig.error_variances
+        reps = ReplicatedSample(["s1"] * 4, ["A", "A", "B", "B"], [1, 2, 1, 2],
+                                [*a_values, 1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^s_wa2 must be finite, got inf$"):
+                estimate_variances(reps)
 
     def test_estimator_sampling_distribution(self):
         # 50 seeded datasets with true within-subject variance 4: the mean
@@ -679,6 +692,16 @@ class TestAnalyze:
         sample = PairedSample(a=[1.0, 2.0, 3.0], b=[3.0, 2.0, 1.0])
         with pytest.raises(DegenerateDataError, match="constant"):
             analyze(sample)  # all means are 2
+
+    @pytest.mark.parametrize("confidence", [0.0, -0.5, 1.5, 1.0])
+    def test_confidence_domain(self, confidence):
+        # the quantile-level check also refuses 1.0; the other values reach only this one.
+        # analyze checks the level first: a bad axis or direction is named after it
+        sample = random_sample(np.random.default_rng(8))
+        message = f"confidence must lie in (0, 1), got {confidence}"
+        for faults in ({}, {"axis": "median", "direction": "a+b"}):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                analyze(sample, confidence=confidence, **faults)
 
     def test_confidence_whose_quantile_level_rounds_to_one(self):
         # 1 - (1 - c)/2 rounds to 1.0 for the largest double below 1, and for no other c < 1

@@ -326,6 +326,12 @@ class TestSimulate:
         assert code == 2
         assert "sigma_c must be finite" in capsys.readouterr().err
 
+    def test_overflowing_measurement_exits_2(self, tmp_path, capsys):
+        code = main(["simulate", "--case", "c", "--sigma-c", "1e308", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == ("error: a synthetic measurement overflows the "
+                                           "largest double; rescale sigma_c, s_a and s_b\n")
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         code = main(["simulate", "--case", "a", "--seed", "-1", "--out", str(tmp_path / "sim")])
         assert code == 2
@@ -390,6 +396,13 @@ class TestReplicateVariance:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["replicate-variance", "--input", str(tmp_path / "nope.csv")])
         assert code == 2
+
+    def test_overflowing_pool_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "reps.csv"
+        path.write_text("subject,method,replicate,value\n"
+                        "s1,A,1,1e308\ns1,A,2,-1e308\ns1,B,1,1\ns1,B,2,2\n", encoding="utf-8")
+        assert main(["replicate-variance", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == "error: s_wa2 must be finite, got inf\n"
 
 
 class TestDeterminism:

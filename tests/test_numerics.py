@@ -214,7 +214,9 @@ class TestLinearFit:
         assert fit.df == 2
 
     def test_constant_x_rejected(self):
-        with pytest.raises(DegenerateDataError):
+        # the kernel's own message is the one analyze and the CLI give
+        message = "axis values are constant; nothing to plot against"
+        with pytest.raises(DegenerateDataError, match=f"^{message}$"):
             linear_fit([2, 2, 2, 2], [1, 2, 3, 4])
 
     def test_slope_is_cov_over_var(self):
@@ -248,12 +250,6 @@ class TestLinearFit:
         for conf in (0.5, 0.9, 0.95, 0.99):
             fit, _, _ = linear_fit(x.copy(), y.copy(), confidence=conf)
             assert fit.ci_low <= fit.slope <= fit.ci_high
-
-    def test_confidence_domain(self):
-        # the quantile-level check also refuses 1.0; the other values reach only this one
-        for confidence in (0.0, -0.5, 1.5, math.nan, 1.0):
-            with pytest.raises(ValueError, match=r"^confidence must lie in \(0, 1\), got "):
-                linear_fit([1, 2, 3], [1, 2, 3], confidence=confidence)
 
     @pytest.mark.parametrize("scale", [1e160, 1e-170])
     def test_far_from_unit_scale(self, scale):

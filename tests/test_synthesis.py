@@ -98,6 +98,20 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
 
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_exact_moments_must_be_a_bool(self, value):
+        # "false" is truthy and would whiten; 0 and 1 would pass as False and True
+        message = f"exact_moments must be a bool, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SyntheticConfig(exact_moments=value)
+
+    def test_numpy_bool_exact_moments_is_accepted(self):
+        for flag in (False, True):
+            sample = generate(preset_config("c", n=10, exact_moments=np.bool_(flag)))
+            reference = generate(preset_config("c", n=10, exact_moments=flag))
+            assert np.array_equal(sample.a, reference.a)
+            assert np.array_equal(sample.b, reference.b)
+
     def test_numpy_integer_counts_are_accepted(self):
         config = preset_config("c", n=np.int64(20), seed=np.int32(4), exact_moments=False)
         sample = generate(config)
@@ -206,6 +220,18 @@ class TestGenerate:
         for got, want in zip((sample.a, sample.b), whitened_reference(config)):
             # rtol 1e-12 of the data scale: entries near 0 carry absolute rounding
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("exact_moments", [True, False])
+    @pytest.mark.parametrize("fields", [dict(sigma_c=1e308), dict(s_b=1e308), dict(k_a=1e308)],
+                             ids=["sigma_c", "s_b", "k_a"])
+    def test_overflowing_measurement_is_named(self, fields, exact_moments):
+        # numpy warns as the scaling overflows, which pytest makes an error; generate
+        # names the overflow and its cure instead
+        config = SyntheticConfig(**{**CASE_PRESETS["c"], **fields}, exact_moments=exact_moments)
+        message = ("a synthetic measurement overflows the largest double; "
+                   "rescale sigma_c, s_a and s_b")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            generate(config)
 
     def test_noise_free_methods_coincide(self):
         config = SyntheticConfig(k_a=1.0, k_b=1.0, s_a=0.0, s_b=0.0, seed=3)
